@@ -408,26 +408,6 @@ func BenchmarkAblationEKFLandmarks(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPFLWorkers measures the ray-casting fan-out speedup —
-// the "fine-grained parallelism" the paper calls a perfect fit for
-// hardware acceleration.
-func BenchmarkAblationPFLWorkers(b *testing.B) {
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			cfg := pfl.DefaultConfig()
-			cfg.Particles = 1000
-			cfg.Steps = 10
-			cfg.InitFactor = 1
-			cfg.Workers = workers
-			for i := 0; i < b.N; i++ {
-				if _, err := pfl.Run(context.Background(), cfg, profile.Disabled()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationSensorModel compares the beam (ray-casting) sensor model
 // against the likelihood-field model that removes the map traversal — the
 // software equivalent of the ray-casting accelerator the paper cites.
@@ -573,16 +553,13 @@ func BenchmarkProfileDisabledOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkers measures the intra-kernel parallelism curve of the
-// kernels honoring Options.Workers. w0 is each kernel's legacy serial
-// algorithm; w1/w2/w4/w8 run the deterministic parallel algorithm with an
-// increasing goroutine budget (the results are identical across w1-w8 by
-// contract, so the per-op times isolate pure scheduling effect). On a
-// single-core host the w1-w8 curve is flat and the numbers record the
-// mechanism's overhead rather than a speedup; compare snapshots from a
-// multi-core host for the scaling picture.
+// BenchmarkWorkers measures the kernels whose data-parallel loop honors
+// Options.Workers: pfl's weigh fan-out and prm's chunked connection. Every
+// point runs the same algorithm and produces the same digest, so the per-op
+// times isolate the scheduling effect; w0 and w1 both run the loop inline.
+// The speedup needs idle cores: record the machine shape beside the curve.
 func BenchmarkWorkers(b *testing.B) {
-	for _, kernel := range []string{"pfl", "ekfslam", "prm", "rrt", "rrtstar", "rrtpp"} {
+	for _, kernel := range []string{"pfl", "prm"} {
 		for _, w := range []int{0, 1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/w%d", kernel, w), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

@@ -27,7 +27,7 @@ func runStream(args []string) error {
 		duration  = fs.Duration("duration", 0, "stream length in wall time (e.g. 1s); set this or -ticks")
 		maxTicks  = fs.Int64("ticks", 0, "stream length in executed ticks; set this or -duration")
 		policy    = fs.String("policy", "skip-next", "overload policy: skip-next | queue | anytime-cutoff")
-		workers   = fs.Int("workers", 0, "intra-kernel worker goroutines for the kernels that support it; 0 = serial")
+		workers   = fs.Int("workers", 0, "goroutines for the data-parallel loop of pfl and prm (0/1 = inline)")
 		size      = fs.String("size", "small", "workload size: small | default")
 		seed      = fs.Int64("seed", 1, "base random seed (workload run r streams with seed+r)")
 		format    = fs.String("format", "text", "report format: text | json | csv")

@@ -25,7 +25,7 @@ func runVerify(args []string) error {
 		dir      = fs.String("golden", "rtrbench/testdata/golden", "golden digest directory")
 		update   = fs.Bool("update", false, "regenerate the golden digests from the current code")
 		parallel = fs.Int("parallel", runtime.NumCPU(), "kernels running concurrently")
-		meta     = fs.Bool("metamorphic", false, "also check digest invariance: parallel 1 vs 8, trial reorder, profiling on vs off, intra-kernel workers 1 vs 8")
+		meta     = fs.Bool("metamorphic", false, "also check digest invariance: parallel 1 vs 8, trial reorder, profiling on vs off, intra-kernel workers 0 vs 8 (pfl, prm)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -73,14 +73,11 @@ type Config struct {
 	// wrong converged hypothesis.
 	InjectRate float64
 
-	// Workers shards the per-particle hot loops — the motion update and the
-	// ray-casting measurement update — across up to this many goroutines.
-	// 0 (the default) runs the legacy serial algorithm. Any Workers >= 1
-	// selects the deterministic parallel algorithm: the motion update draws
-	// one tick base from the main RNG and gives particle i the sub-stream
-	// seeded by base+i, so results are bit-identical for every worker count
-	// (1 worker and 64 workers digest the same); the weigh fan-out is pure
-	// and needs no sub-streams. See DESIGN.md "Intra-kernel parallelism".
+	// Workers bounds the goroutines the measurement update fans out over;
+	// <= 1 weighs inline. Weighing a particle is a pure function of its
+	// pose and the scan, so Workers never changes a result. Motion and
+	// resampling draw from the one RNG and stay serial. See DESIGN.md
+	// "Intra-kernel parallelism".
 	Workers int
 
 	// LikelihoodField replaces the beam ray-cast model with AMCL's
@@ -300,7 +297,7 @@ func newState(cfg Config, res *Result) (*state, error) {
 		decay:     decay,
 		res:       res,
 	}
-	if cfg.Workers > 0 {
+	if cfg.Workers > 1 {
 		s.shards = make([]wshard, cfg.Workers)
 	}
 	return s, nil
@@ -310,9 +307,9 @@ func newState(cfg Config, res *Result) (*state, error) {
 // annealed log-likelihood. Ray-casting here is the paper's notion —
 // traversing the map per beam and matching the traverse distance with the
 // sensed data — and dominates execution. It is deterministic, so the
-// parallel path (Workers > 0) produces bit-identical results for every
-// worker count. weigh only reads shared state (scan, map, config), so
-// shards may run it concurrently on disjoint sub-slices.
+// parallel path (Workers > 1) produces bit-identical results to the serial
+// one. weigh only reads shared state (scan, map, config), so shards may run
+// it concurrently on disjoint sub-slices.
 func (s *state) weigh(parts []particle, prof *profile.Profile) (raycasts, cells int64) {
 	cfg, g, scan := &s.cfg, s.g, s.scan
 	for i := range parts {
@@ -381,50 +378,14 @@ func (s *state) step(prof *profile.Profile) {
 
 	// -- Motion update: sample the odometry model per particle.
 	prof.Begin("motion")
-	if cfg.Workers > 0 {
-		// Deterministic parallel motion: one base value is drawn serially
-		// from the main RNG, and particle i samples from the sub-stream
-		// seeded by base+i. The population after the update is a pure
-		// function of (base, i) — independent of the worker count and of
-		// goroutine scheduling — so any Workers >= 1 is bit-identical.
-		tickBase := int64(r.Uint64())
-		workers := cfg.Workers
-		if workers > len(s.parts) {
-			workers = len(s.parts)
-		}
-		chunk := (len(s.parts) + workers - 1) / workers
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if lo >= len(s.parts) {
-				break
-			}
-			if hi > len(s.parts) {
-				hi = len(s.parts)
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				var pr rng.RNG // stack-allocated: the fan-out stays alloc-light
-				for i := lo; i < hi; i++ {
-					pr.Seed(tickBase + int64(i))
-					noisy := cfg.Odom.Sample(&pr, odo)
-					s.parts[i].pose = noisy.Apply(s.parts[i].pose)
-				}
-			}(lo, hi)
-		}
-		wg.Wait()
-	} else {
-		for i := range s.parts {
-			noisy := cfg.Odom.Sample(r, odo)
-			s.parts[i].pose = noisy.Apply(s.parts[i].pose)
-		}
+	for i := range s.parts {
+		noisy := cfg.Odom.Sample(r, odo)
+		s.parts[i].pose = noisy.Apply(s.parts[i].pose)
 	}
 	prof.End()
 
 	// -- Measurement update.
-	if cfg.Workers > 0 {
+	if cfg.Workers > 1 {
 		// Wall time of the whole fan-out is attributed to "raycast" on
 		// the main profile (per-worker phase times would sum past the
 		// ROI); workers run with profiling off.

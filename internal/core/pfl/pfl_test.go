@@ -144,25 +144,22 @@ func TestEffectiveSampleSizeSane(t *testing.T) {
 }
 
 func TestParallelWorkersBitIdentical(t *testing.T) {
-	// The determinism contract for Workers >= 1: the parallel algorithm's
-	// results are a pure function of the seed — the worker count only bounds
-	// goroutine concurrency. Run the identical config at several counts and
-	// require bit-identical estimates and counters.
-	base := trackingConfig()
-	base.Workers = 1
-	a, err := Run(context.Background(), base, nil)
+	// Workers only schedules the weigh fan-out: at every worker count the
+	// estimates and counters equal the serial run's bit for bit.
+	a, err := Run(context.Background(), trackingConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4, 8, 64} {
+	for _, workers := range []int{1, 2, 4, 8, 64} {
 		cfg := trackingConfig()
 		cfg.Workers = workers
 		b, err := Run(context.Background(), cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Estimate != b.Estimate || a.Raycasts != b.Raycasts || a.CellsVisited != b.CellsVisited {
-			t.Fatalf("workers=%d diverged from workers=1: %+v vs %+v", workers, b, a)
+		if a.Estimate != b.Estimate || a.Raycasts != b.Raycasts || a.CellsVisited != b.CellsVisited ||
+			a.Resamples != b.Resamples || a.EffectiveSampleSize != b.EffectiveSampleSize {
+			t.Fatalf("workers=%d diverged from serial: %+v vs %+v", workers, b, a)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync"
 
 	"repro/internal/arm"
 	"repro/internal/check"
@@ -46,15 +47,11 @@ type Config struct {
 	// Start and Goal configurations; nil picks default reach poses.
 	Start, Goal []float64
 	Seed        int64
-	// Workers enables the partitioned parallel roadmap build: sampling is
-	// stratified over fixed dim-0 slabs grown concurrently on per-slab RNG
-	// sub-streams, and neighbor connection fans out over worker chunks whose
-	// per-node results are folded serially in node order. 0 (the default)
-	// runs the legacy serial build. Any Workers >= 1 selects the parallel
-	// build, whose results depend only on the seed: the partition count is
-	// fixed and the worker count only bounds concurrency, so workers 1 and 8
-	// produce bit-identical roadmaps. The online query phase is serial either
-	// way. See DESIGN.md "Intra-kernel parallelism".
+	// Workers bounds the goroutines the offline connection phase fans out
+	// over; <= 1 connects inline. Each node's edges are a pure function of
+	// the roadmap and are folded in node order, so Workers never changes a
+	// result. Sampling and the online query are serial. See DESIGN.md
+	// "Intra-kernel parallelism".
 	Workers int
 }
 
@@ -175,37 +172,21 @@ func Run(ctx context.Context, cfg Config, prof *profile.Profile) (Result, error)
 	// ---- Offline phase: sampling.
 	prof.Begin("sample")
 	tree := kdtree.New(dof, nil)
-	var nodes [][]float64
-	if cfg.Workers > 0 {
-		var err error
-		nodes, err = samplePartitioned(ctx, cfg, a, ws, r, prof)
-		if err != nil {
+	nodes := make([][]float64, 0, cfg.Samples)
+	for len(nodes) < cfg.Samples {
+		if err := ctx.Err(); err != nil {
 			prof.End()
 			prof.EndROI()
 			return res, err
 		}
-		// The kd-tree is built serially in node order, so its shape — and
-		// every downstream neighbor query — is independent of scheduling.
-		for i, c := range nodes {
-			tree.Insert(c, i)
+		c := make([]float64, dof)
+		for i := range c {
+			c[i] = r.Uniform(-math.Pi, math.Pi)
 		}
-	} else {
-		nodes = make([][]float64, 0, cfg.Samples)
-		for len(nodes) < cfg.Samples {
-			if err := ctx.Err(); err != nil {
-				prof.End()
-				prof.EndROI()
-				return res, err
-			}
-			c := make([]float64, dof)
-			for i := range c {
-				c[i] = r.Uniform(-math.Pi, math.Pi)
-			}
-			if ws.CollisionFree(a, c, scratch) {
-				tree.Insert(c, len(nodes))
-				nodes = append(nodes, c)
-				prof.StepDone() // one step per accepted roadmap sample
-			}
+		if ws.CollisionFree(a, c, scratch) {
+			tree.Insert(c, len(nodes))
+			nodes = append(nodes, c)
+			prof.StepDone() // one step per accepted roadmap sample
 		}
 	}
 	prof.End()
@@ -213,39 +194,21 @@ func Run(ctx context.Context, cfg Config, prof *profile.Profile) (Result, error)
 	// ---- Offline phase: connecting k-nearest neighbors. Lazy PRM defers
 	// the edge collision checks to query time.
 	prof.Begin("connect")
-	var adj [][]edge
-	var nbrBuf []int // reused k-nearest buffer across all connect queries
-	if cfg.Workers > 0 {
-		var err error
-		adj, err = connectParallel(ctx, cfg, a, ws, step, nodes, tree, &res, &l2norms)
-		if err != nil {
-			prof.End()
-			prof.EndROI()
-			return res, err
+	conn := connector{k: cfg.K, lazy: cfg.Lazy, a: a, step: step, nodes: nodes, tree: tree, ws: ws, scratch: scratch, cfgScratch: cfgScratch}
+	adj, err := conn.roadmap(ctx, cfg.Workers)
+	if err != nil {
+		prof.End()
+		prof.EndROI()
+		return res, err
+	}
+	for i := range adj {
+		// Mirror each node's lower-index edges in node order: the
+		// adjacency a single interleaved pass would build.
+		for _, e := range adj[i] {
+			adj[e.to] = append(adj[e.to], edge{i, e.cost})
 		}
-	} else {
-		adj = make([][]edge, len(nodes))
-		for i, c := range nodes {
-			if i%256 == 0 {
-				if err := ctx.Err(); err != nil {
-					prof.End()
-					prof.EndROI()
-					return res, err
-				}
-			}
-			nbrBuf = tree.KNearestAppend(c, cfg.K+1, nbrBuf[:0])
-			for _, j := range nbrBuf {
-				if j == i || j > i {
-					continue // undirected; connect each pair once
-				}
-				if cfg.Lazy || ws.EdgeFree(a, c, nodes[j], step, scratch, cfgScratch) {
-					d := dist(c, nodes[j])
-					adj[i] = append(adj[i], edge{j, d})
-					adj[j] = append(adj[j], edge{i, d})
-					res.RoadmapEdges++
-				}
-			}
-		}
+		l2norms += int64(len(adj[i]))
+		res.RoadmapEdges += len(adj[i])
 	}
 	prof.End()
 	prof.StepDone() // roadmap connection is one step
@@ -257,8 +220,8 @@ func Run(ctx context.Context, cfg Config, prof *profile.Profile) (Result, error)
 	all := append(append([][]float64{}, nodes...), start, goal)
 	adj = append(adj, nil, nil)
 	connectEndpoint := func(id int, c []float64) {
-		nbrBuf = tree.KNearestAppend(c, 3*cfg.K, nbrBuf[:0])
-		for _, j := range nbrBuf {
+		conn.nbrBuf = tree.KNearestAppend(c, 3*cfg.K, conn.nbrBuf[:0])
+		for _, j := range conn.nbrBuf {
 			if cfg.Lazy || ws.EdgeFree(a, c, nodes[j], step, scratch, cfgScratch) {
 				d := dist(c, nodes[j])
 				adj[id] = append(adj[id], edge{j, d})
@@ -347,6 +310,92 @@ func maxInt(a, b int) int {
 type edge struct {
 	to   int
 	cost float64
+}
+
+// connector is the connection phase's per-node body with its private
+// state: KNearestAppend's candidate heap makes a kd-tree non-reentrant, and
+// edge checks count into their workspace and use its scratch.
+type connector struct {
+	k          int
+	lazy       bool
+	a          *arm.Arm
+	step       float64
+	nodes      [][]float64
+	tree       *kdtree.Tree
+	ws         *arm.Workspace
+	scratch    []geom.Vec2
+	cfgScratch []float64
+	nbrBuf     []int
+}
+
+// lower appends to dst node i's edges to the lower-index nodes among its
+// K nearest that pass the edge check, nearest first. It reads only the
+// roadmap, so its result does not depend on which connector runs it.
+func (c *connector) lower(i int, dst []edge) []edge {
+	q := c.nodes[i]
+	c.nbrBuf = c.tree.KNearestAppend(q, c.k+1, c.nbrBuf[:0])
+	for _, j := range c.nbrBuf {
+		if j >= i {
+			continue // undirected; connect each pair once
+		}
+		if c.lazy || c.ws.EdgeFree(c.a, q, c.nodes[j], c.step, c.scratch, c.cfgScratch) {
+			dst = append(dst, edge{j, arm.ConfigDist(q, c.nodes[j])})
+		}
+	}
+	return dst
+}
+
+// stride fills adj[i] with node i's lower-index edges for i = first,
+// first+by, first+2·by, …, polling ctx every 256 nodes.
+func (c *connector) stride(ctx context.Context, adj [][]edge, first, by int) error {
+	for k, i := 0, first; i < len(adj); k, i = k+1, i+by {
+		if k%256 == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		adj[i] = c.lower(i, adj[i])
+	}
+	return nil
+}
+
+// roadmap returns every node's lower-index edges. With workers > 1, worker
+// w connects nodes w, w+workers, … on its own kd-tree and workspace clone,
+// and the clones' collision counts fold back into c.ws. Interleaving
+// balances the load: node i checks edges to its neighbors below i, so the
+// work per node grows with i. Each worker allocates its own clone, which
+// keeps the SegChecks counters it bumps in the innermost loop off the
+// cache lines of its siblings'.
+func (c *connector) roadmap(ctx context.Context, workers int) ([][]edge, error) {
+	adj := make([][]edge, len(c.nodes))
+	if workers <= 1 {
+		return adj, c.stride(ctx, adj, 0, 1)
+	}
+	// The goroutines capture a copy, never c, so that c — the caller's
+	// inline connector — stays on the stack.
+	base := *c
+	segChecks := make([]int64, min(workers, len(adj)))
+	var wg sync.WaitGroup
+	for w := range segChecks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wc := connector{
+				k: base.k, lazy: base.lazy, a: base.a, step: base.step, nodes: base.nodes,
+				tree:       base.tree.Clone(),
+				ws:         &arm.Workspace{Obstacles: base.ws.Obstacles},
+				scratch:    make([]geom.Vec2, 0, cap(base.scratch)),
+				cfgScratch: make([]float64, len(base.cfgScratch)),
+			}
+			_ = wc.stride(ctx, adj, w, len(segChecks)) // its only error is ctx's, returned below
+			segChecks[w] = wc.ws.SegChecks
+		}()
+	}
+	wg.Wait()
+	for _, sc := range segChecks {
+		c.ws.SegChecks += sc
+	}
+	return adj, ctx.Err()
 }
 
 // roadmapSpace adapts the adjacency lists to the search interface.

@@ -61,17 +61,6 @@ type Config struct {
 	// set, rather than ctx.Err(). Plain Run has no partial result to offer
 	// and always fails on cancellation.
 	BestEffort bool
-	// Workers enables BoxPlanner-style partitioned parallel growth for Run
-	// and RunStar (and RunPP's underlying RRT): the configuration space is
-	// split into fixed dim-0 slabs, each grown as an independent tree on its
-	// own seeded RNG sub-stream, then spliced into one tree by a
-	// deterministic serial bridge/merge. 0 (the default) runs the legacy
-	// serial algorithm. Any Workers >= 1 selects the parallel algorithm,
-	// whose results depend only on the seed: the partition count is fixed
-	// and the worker count only bounds goroutine concurrency, so workers 1
-	// and 8 produce bit-identical results. RunConnect ignores Workers. See
-	// DESIGN.md "Intra-kernel parallelism".
-	Workers int
 }
 
 // Validate reports every dimension, bound, and finiteness violation in the
@@ -84,7 +73,6 @@ func (c Config) Validate() error {
 	f.NonNegative("Radius", c.Radius)
 	f.NonNegative("GoalTol", c.GoalTol)
 	f.NonNegative("EdgeStep", c.EdgeStep)
-	f.NonNegativeInt("Workers", c.Workers)
 	dof := 5 // arm.Default5DoF
 	if c.Arm != nil {
 		dof = c.Arm.DoF()
@@ -318,9 +306,6 @@ func Run(ctx context.Context, cfg Config, prof *profile.Profile) (Result, error)
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.Workers > 0 {
-		return runParallel(ctx, cfg, prof, false)
-	}
 	var res Result
 	prof.BeginROI()
 	p, err := newPlanner(cfg, prof, &res)
@@ -366,9 +351,6 @@ func Run(ctx context.Context, cfg Config, prof *profile.Profile) (Result, error)
 func RunStar(ctx context.Context, cfg Config, prof *profile.Profile) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if cfg.Workers > 0 {
-		return runParallel(ctx, cfg, prof, true)
 	}
 	var res Result
 	prof.BeginROI()

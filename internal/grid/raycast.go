@@ -6,55 +6,17 @@ import "math"
 // and returns the distance to the first occupied cell, capped at maxRange.
 // It is the particle filter's single hottest operation: the paper attributes
 // 67-78% of pfl's execution time to exactly this map traversal.
-//
-// The implementation is an Amanatides-Woo DDA voxel walk: it visits each
-// crossed cell exactly once, preserving the "checking map cells that are
-// nearby each other" spatial locality the paper highlights.
 func (g *Grid2D) Raycast(ox, oy, theta, maxRange float64) float64 {
-	dx := math.Cos(theta)
-	dy := math.Sin(theta)
-
-	x, y := g.WorldToCell(ox, oy)
-	if g.Occupied(x, y) {
-		return 0
-	}
-
-	// Per-axis step direction and the parametric distance to the next cell
-	// boundary (tMax*) and between boundaries (tDelta*), in world units.
-	stepX, stepY := 1, 1
-	if dx < 0 {
-		stepX = -1
-	}
-	if dy < 0 {
-		stepY = -1
-	}
-
-	res := g.Resolution
-	tMaxX, tDeltaX := axisInit(ox, dx, res)
-	tMaxY, tDeltaY := axisInit(oy, dy, res)
-
-	for {
-		var t float64
-		if tMaxX < tMaxY {
-			t = tMaxX
-			tMaxX += tDeltaX
-			x += stepX
-		} else {
-			t = tMaxY
-			tMaxY += tDeltaY
-			y += stepY
-		}
-		if t > maxRange {
-			return maxRange
-		}
-		if g.Occupied(x, y) {
-			return t
-		}
-	}
+	d, _ := g.RaycastCells(ox, oy, theta, maxRange)
+	return d
 }
 
 // RaycastCells behaves like Raycast but additionally counts the number of
 // cells visited, feeding the harness's memory-touch counters.
+//
+// The implementation is an Amanatides-Woo DDA voxel walk: it visits each
+// crossed cell exactly once, preserving the "checking map cells that are
+// nearby each other" spatial locality the paper highlights.
 func (g *Grid2D) RaycastCells(ox, oy, theta, maxRange float64) (dist float64, cells int) {
 	dx := math.Cos(theta)
 	dy := math.Sin(theta)
@@ -62,6 +24,9 @@ func (g *Grid2D) RaycastCells(ox, oy, theta, maxRange float64) (dist float64, ce
 	if g.Occupied(x, y) {
 		return 0, 1
 	}
+
+	// Per-axis step direction and the parametric distance to the next cell
+	// boundary (tMax*) and between boundaries (tDelta*), in world units.
 	stepX, stepY := 1, 1
 	if dx < 0 {
 		stepX = -1

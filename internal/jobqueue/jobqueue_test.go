@@ -31,6 +31,27 @@ func finishAll(_ context.Context, batch []*Job[int, int]) {
 	}
 }
 
+// wedgeDispatch holds a one-worker queue's dispatch until the executor is
+// released, so the jobs submitted next all wait in their client queues:
+// the first "gate" batch holds the worker (the executor must block on its
+// release), and the second holds the collector in its hand-off to that
+// worker. The queue's OnBatch must send on flushed; it fires before the
+// hand-off, so once it has fired twice no job can leave the queues. The
+// executor should leave the gate jobs out of whatever it records.
+func wedgeDispatch(t *testing.T, q *Queue[int, int], flushed <-chan struct{}) []*Job[int, int] {
+	t.Helper()
+	var gates []*Job[int, int]
+	for i := 0; i < 2; i++ {
+		j, err := q.SubmitClient("gate", i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gates = append(gates, j)
+		<-flushed
+	}
+	return gates
+}
+
 // TestBackpressureQueueFull pins the admission-control contract: with the
 // single worker wedged and the dispatch pipeline saturated, exactly
 // Capacity more jobs are admitted and the next submission fails with
@@ -304,6 +325,7 @@ func TestDoubleFinishIsNoOp(t *testing.T) {
 // within the first few batches instead of behind the entire backlog.
 func TestWeightedRoundRobinFairness(t *testing.T) {
 	release := make(chan struct{})
+	flushed := make(chan struct{}, 13) // one send per flush, at most one flush per job
 	var mu sync.Mutex
 	var dispatched []string // client of each executed job, in dispatch order
 	q := New(context.Background(), Options{
@@ -311,19 +333,22 @@ func TestWeightedRoundRobinFairness(t *testing.T) {
 		BatchSize: 2,
 		MaxWait:   time.Millisecond,
 		Workers:   1,
+		OnBatch:   func(int) { flushed <- struct{}{} },
 	}, func(_ context.Context, batch []*Job[int, int]) {
 		<-release
 		mu.Lock()
 		for _, j := range batch {
-			dispatched = append(dispatched, j.Client())
+			if c := j.Client(); c != "gate" {
+				dispatched = append(dispatched, c)
+			}
 		}
 		mu.Unlock()
 		finishAll(nil, batch)
 	})
 
-	// The flooder stacks 10 jobs while the worker is wedged; then the slow
+	// The flooder stacks 10 jobs while dispatch is wedged; then the slow
 	// client submits one.
-	var jobs []*Job[int, int]
+	jobs := wedgeDispatch(t, q, flushed)
 	for i := 0; i < 10; i++ {
 		j, err := q.SubmitClient("flood", i)
 		if err != nil {
@@ -353,9 +378,9 @@ func TestWeightedRoundRobinFairness(t *testing.T) {
 		}
 	}
 	// Round-robin alternates flood/slow from wherever the collector is, so
-	// the slow job must appear within the first WRR cycle (here: first 4
-	// dispatches is generous; FIFO would place it last, at index 10).
-	if pos < 0 || pos > 4 {
+	// the slow job must appear within the first WRR cycle (FIFO would place
+	// it last, at index 10).
+	if pos < 0 || pos > 1 {
 		t.Fatalf("slow client dispatched at position %d of %v, want early interleave", pos, dispatched)
 	}
 }
@@ -364,6 +389,7 @@ func TestWeightedRoundRobinFairness(t *testing.T) {
 // weight-1 client from interleaved backlogs.
 func TestClientWeights(t *testing.T) {
 	release := make(chan struct{})
+	flushed := make(chan struct{}, 14) // one send per flush, at most one flush per job
 	var mu sync.Mutex
 	var order []string
 	q := New(context.Background(), Options{
@@ -371,6 +397,7 @@ func TestClientWeights(t *testing.T) {
 		BatchSize: 4,
 		MaxWait:   time.Millisecond,
 		Workers:   1,
+		OnBatch:   func(int) { flushed <- struct{}{} },
 		ClientWeight: func(c string) int {
 			if c == "heavy" {
 				return 3
@@ -381,13 +408,16 @@ func TestClientWeights(t *testing.T) {
 		<-release
 		mu.Lock()
 		for _, j := range batch {
-			order = append(order, j.Client())
+			if c := j.Client(); c != "gate" {
+				order = append(order, c)
+			}
 		}
 		mu.Unlock()
 		finishAll(nil, batch)
 	})
 
-	var jobs []*Job[int, int]
+	// Both backlogs are complete before the first of their jobs dispatches.
+	jobs := wedgeDispatch(t, q, flushed)
 	for i := 0; i < 6; i++ {
 		for _, c := range []string{"heavy", "light"} {
 			j, err := q.SubmitClient(c, i)

@@ -102,31 +102,16 @@ func Mul(a, b *Matrix) *Matrix {
 // a.Rows×b.Cols and must not alias a or b; its previous contents are
 // discarded. It is the allocation-free hot-path form of Mul.
 func MulInto(dst, a, b *Matrix) *Matrix {
-	checkMulShapes(dst, a, b)
-	mulRows(dst, a, b, 0, a.Rows)
-	return dst
-}
-
-func checkMulShapes(dst, a, b *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: Mul shape mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	if dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulInto dst shape %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
-}
-
-// mulRows computes dst rows [lo, hi) of a*b, zeroing them first. It is the
-// shared row kernel of MulInto and ParMulInto: both produce every row with
-// the identical accumulation order, which is what makes the parallel product
-// bit-identical to the serial one.
-func mulRows(dst, a, b *Matrix, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	dst.Zero()
+	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
 		orow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-		for j := range orow {
-			orow[j] = 0
-		}
 		for k, av := range arow {
 			if av == 0 {
 				continue
@@ -137,6 +122,7 @@ func mulRows(dst, a, b *Matrix, lo, hi int) {
 			}
 		}
 	}
+	return dst
 }
 
 // MulVec returns the matrix-vector product a*x.
@@ -213,19 +199,15 @@ func Transpose(a *Matrix) *Matrix {
 // TransposeInto computes dst = aᵀ in place and returns dst. dst must have
 // shape a.Cols×a.Rows and must not alias a.
 func TransposeInto(dst, a *Matrix) *Matrix {
-	checkTransposeShapes(dst, a)
+	if dst.Rows != a.Cols || dst.Cols != a.Rows {
+		panic(fmt.Sprintf("mat: TransposeInto dst shape %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Cols, a.Rows))
+	}
 	for i := 0; i < a.Rows; i++ {
 		for j := 0; j < a.Cols; j++ {
 			dst.Data[j*dst.Cols+i] = a.Data[i*a.Cols+j]
 		}
 	}
 	return dst
-}
-
-func checkTransposeShapes(dst, a *Matrix) {
-	if dst.Rows != a.Cols || dst.Cols != a.Rows {
-		panic(fmt.Sprintf("mat: TransposeInto dst shape %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Cols, a.Rows))
-	}
 }
 
 func checkSameShape(op string, a, b *Matrix) {

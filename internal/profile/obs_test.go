@@ -28,15 +28,20 @@ func TestThreeLevelNestedExclusive(t *testing.T) {
 	a, _ := r.Phase("a")
 	b, _ := r.Phase("b")
 	c, _ := r.Phase("c")
-	// c ran 4ms; a and b each ran ~2ms exclusive. Exclusive attribution
-	// must hold through the full depth, not just one level.
-	if c.Total < 3*time.Millisecond {
-		t.Fatalf("c = %v", c.Total)
+	// Each phase spun for at least its own exclusive time: c 4ms, a and b
+	// 2ms each. Wall times of busy-spins on a loaded host only grow, so
+	// these are lower bounds, never comparisons between phases.
+	for _, ph := range []struct {
+		name  string
+		total time.Duration
+		spun  time.Duration
+	}{{"a", a.Total, 2 * time.Millisecond}, {"b", b.Total, 2 * time.Millisecond}, {"c", c.Total, 4 * time.Millisecond}} {
+		if ph.total < ph.spun {
+			t.Fatalf("%s = %v, spun %v", ph.name, ph.total, ph.spun)
+		}
 	}
-	if a.Total >= c.Total || b.Total >= c.Total {
-		t.Fatalf("exclusive attribution broken: a=%v b=%v c=%v", a.Total, b.Total, c.Total)
-	}
-	// Exclusive totals must not exceed the ROI.
+	// Exclusive totals must not exceed the ROI. Inclusive attribution
+	// through the full depth (a 8ms, b 6ms, c 4ms of an 8ms ROI) fails here.
 	if sum := a.Total + b.Total + c.Total; sum > r.ROI+time.Millisecond {
 		t.Fatalf("phases sum %v > ROI %v", sum, r.ROI)
 	}
@@ -171,14 +176,18 @@ func TestSnapshotInconsistencyFlag(t *testing.T) {
 }
 
 func TestStepLatencyAndDeadline(t *testing.T) {
+	// The deadline sits 100x above the fast steps' spin: a busy-spin's
+	// wall time grows when the host deschedules the test, and only a
+	// descheduling longer than the deadline may turn a fast step into a
+	// miss.
 	p := New()
-	p.SetDeadline(500 * time.Microsecond)
+	p.SetDeadline(10 * time.Millisecond)
 	p.BeginROI()
 	for i := 0; i < 5; i++ {
 		spin(100 * time.Microsecond)
 		p.StepDone()
 	}
-	spin(2 * time.Millisecond) // one slow step
+	spin(20 * time.Millisecond) // one slow step
 	p.StepDone()
 	p.EndROI()
 
@@ -186,13 +195,13 @@ func TestStepLatencyAndDeadline(t *testing.T) {
 	if r.Steps.Count != 6 {
 		t.Fatalf("steps = %d", r.Steps.Count)
 	}
-	if r.Steps.Deadline != 500*time.Microsecond {
+	if r.Steps.Deadline != 10*time.Millisecond {
 		t.Fatalf("deadline = %v", r.Steps.Deadline)
 	}
 	if r.Steps.Misses != 1 {
 		t.Fatalf("misses = %d", r.Steps.Misses)
 	}
-	if r.Steps.Max < 2*time.Millisecond {
+	if r.Steps.Max < 20*time.Millisecond {
 		t.Fatalf("max = %v", r.Steps.Max)
 	}
 	if r.Steps.P50 > r.Steps.P99 || r.Steps.P99 > r.Steps.Max {

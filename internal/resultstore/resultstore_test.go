@@ -113,14 +113,41 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 }
 
+// checkInvariants walks the store under one hold of s.mu and reports the
+// first broken invariant: the bound holds, the eviction order lists
+// exactly the stored digests, and no request key dangles on an evicted
+// digest. Lookup and Get lock separately, so only a walk under the lock can
+// check the index against the documents.
+func (s *Store) checkInvariants() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.byDigest) > s.max {
+		return fmt.Errorf("%d entries > bound %d", len(s.byDigest), s.max)
+	}
+	if len(s.order) != len(s.byDigest) {
+		return fmt.Errorf("order lists %d digests, store holds %d", len(s.order), len(s.byDigest))
+	}
+	for _, d := range s.order {
+		if _, ok := s.byDigest[d]; !ok {
+			return fmt.Errorf("order lists evicted digest %s", d)
+		}
+	}
+	for k, d := range s.byReq {
+		if _, ok := s.byDigest[d]; !ok {
+			return fmt.Errorf("request key %s dangles on evicted digest %s", k, d)
+		}
+	}
+	return nil
+}
+
 // TestConcurrentEvictionChurnInvariants hammers the store with parallel
-// Put/Lookup/Get over a key space far larger than the bound, so eviction
+// Put/Lookup over a key space far larger than the bound, so eviction
 // churns constantly, and asserts the invariants that must survive any
-// interleaving: the entry count never exceeds the bound, the hit/miss
-// accounting exactly matches the Lookup outcomes the callers observed, a
-// hit's document always agrees with its digest (the stored doc is the
-// digest's doc, never a torn or foreign one), and a request key never
-// dangles (a Lookup hit implies the digest resolves via Get too).
+// interleaving: the store's structure stays consistent (checkInvariants:
+// the bound holds and no request key dangles), the hit/miss accounting
+// exactly matches the Lookup outcomes the callers observed, and a hit's
+// document always agrees with its digest (the stored doc is the digest's
+// doc, never a torn or foreign one).
 func TestConcurrentEvictionChurnInvariants(t *testing.T) {
 	const (
 		workers    = 8
@@ -140,9 +167,9 @@ func TestConcurrentEvictionChurnInvariants(t *testing.T) {
 				key, digest := fmt.Sprintf("r%d", n), fmt.Sprintf("d%d", n)
 				doc := []byte(fmt.Sprintf("doc-for-%s", digest))
 				s.Put(key, digest, doc)
-				// The bound holds at every instant, not just at the end.
-				if _, _, entries := s.Stats(); entries > maxEntries {
-					t.Errorf("entries = %d > bound %d mid-churn", entries, maxEntries)
+				// The invariants hold at every instant, not just at the end.
+				if err := s.checkInvariants(); err != nil {
+					t.Errorf("mid-churn: %v", err)
 					return
 				}
 				d, got, ok := s.Lookup(key)
@@ -150,10 +177,6 @@ func TestConcurrentEvictionChurnInvariants(t *testing.T) {
 					hits.Add(1)
 					if want := fmt.Sprintf("doc-for-%s", d); string(got) != want {
 						t.Errorf("Lookup(%s) doc = %q, want %q (digest %s)", key, got, want, d)
-						return
-					}
-					if _, ok := s.Get(d); !ok {
-						t.Errorf("Lookup(%s) hit digest %s but Get missed: dangling index", key, d)
 						return
 					}
 				} else {
@@ -164,10 +187,10 @@ func TestConcurrentEvictionChurnInvariants(t *testing.T) {
 	}
 	wg.Wait()
 
-	gotHits, gotMisses, entries := s.Stats()
-	if entries > maxEntries {
-		t.Errorf("final entries = %d, want <= %d", entries, maxEntries)
+	if err := s.checkInvariants(); err != nil {
+		t.Errorf("after churn: %v", err)
 	}
+	gotHits, gotMisses, _ := s.Stats()
 	if gotHits != hits.Load() || gotMisses != misses.Load() {
 		t.Errorf("Stats hit/miss = %d/%d, callers observed %d/%d",
 			gotHits, gotMisses, hits.Load(), misses.Load())

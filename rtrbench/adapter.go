@@ -177,7 +177,6 @@ func rrtConfig(kernel string, o Options, variant string) (rrt.Config, error) {
 	cfg := rrt.DefaultConfig()
 	cfg.Seed = o.seed()
 	cfg.BestEffort = o.BestEffort
-	cfg.Workers = o.Workers
 	if o.Size == SizeSmall {
 		cfg.MaxSamples = 10000
 	}

@@ -75,15 +75,13 @@ type Options struct {
 	// Result.Degraded, instead of failing with ctx.Err(). Kernels without a
 	// partial result to offer ignore it.
 	BestEffort bool
-	// Workers enables intra-kernel parallelism in the kernels that support
-	// it (pfl, ekfslam, prm, rrt, rrtstar, rrtpp); the rest ignore it. 0
-	// (the default) runs every kernel's legacy serial algorithm — the one
-	// the checked-in goldens record. Any Workers >= 1 selects the kernel's
-	// deterministic parallel algorithm: results depend only on the seed, and
-	// the worker count merely bounds goroutine concurrency, so workers 1 and
-	// 8 produce identical digests (`rtrbench verify -metamorphic` proves
-	// this). ekfslam's parallel matrix kernels are additionally bit-identical
-	// to its serial path. See DESIGN.md "Intra-kernel parallelism".
+	// Workers bounds the goroutines a kernel's data-parallel loop may use:
+	// pfl's measurement update and prm's roadmap connection. The other
+	// kernels ignore it. 0 and 1 run the loop inline. Workers never changes
+	// a result: every kernel runs one algorithm, and its digest at any
+	// Workers equals the checked-in golden (`rtrbench verify -metamorphic`
+	// checks Workers=8 against Workers=0). See DESIGN.md "Intra-kernel
+	// parallelism".
 	Workers int
 }
 

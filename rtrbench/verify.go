@@ -36,8 +36,9 @@ type VerifyOptions struct {
 	// Metamorphic additionally checks the digest-invariance properties
 	// that need no goldens at all: digests must be bit-identical at
 	// Parallel=1 vs Parallel=8, with trial order reversed, with profiling
-	// enabled vs profile.Disabled(), and — for the kernels with intra-kernel
-	// parallelism — at Options.Workers=1 vs Workers=8. Runs at Seeds[0].
+	// enabled vs profile.Disabled(), and — for the kernels with a
+	// data-parallel loop — at Options.Workers=8 vs Workers=0. Runs at
+	// Seeds[0].
 	Metamorphic bool
 	// Parallel bounds kernel concurrency for the golden runs; <= 0 means
 	// runtime.NumCPU().
@@ -53,7 +54,7 @@ type VerifyMismatch struct {
 	// Check names the comparison: "golden" (checked-in digest), or the
 	// metamorphic properties "parallel" (1 vs 8 concurrent kernels),
 	// "reorder" (trial order), "profile" (profiling on vs off), "workers"
-	// (intra-kernel Workers=1 vs Workers=8).
+	// (intra-kernel Workers=0 vs Workers=8).
 	Check string
 	Field string
 	Want  string
@@ -177,7 +178,7 @@ func suiteDigests(ctx context.Context, names []string, seed int64, parallel int,
 	return out, nil
 }
 
-// verifyMetamorphic checks the three golden-free equivalence properties.
+// verifyMetamorphic checks the four golden-free equivalence properties.
 // Each failure is reported as a mismatch whose Check names the property;
 // Want is the reference execution, Got the varied one.
 func verifyMetamorphic(ctx context.Context, rep *VerifyReport, infos []Info, names []string, seed int64, parallel int) error {
@@ -249,11 +250,9 @@ func verifyMetamorphic(ctx context.Context, rep *VerifyReport, infos []Info, nam
 		appendMismatches(rep, "profile", seed, golden.Diff(instrumented, bare))
 	}
 
-	// Property 4: worker-count independence. The kernels with intra-kernel
-	// parallelism promise that every Options.Workers >= 1 selects the same
-	// deterministic parallel algorithm — partition counts and RNG
-	// sub-streams are fixed, the worker count only bounds goroutine
-	// concurrency — so Workers=1 and Workers=8 must digest identically.
+	// Property 4: worker-count independence. Workers only schedules a
+	// kernel's data-parallel loop, so Workers=8 must digest like the
+	// Workers=0 sweep of property 1.
 	var parallelized []string
 	for _, info := range infos {
 		if workerKernels[info.Name] {
@@ -261,30 +260,22 @@ func verifyMetamorphic(ctx context.Context, rep *VerifyReport, infos []Info, nam
 		}
 	}
 	if len(parallelized) > 0 {
-		w1, err := suiteDigests(ctx, parallelized, seed, parallel, Options{Workers: 1})
-		if err != nil {
-			return err
-		}
 		w8, err := suiteDigests(ctx, parallelized, seed, parallel, Options{Workers: 8})
 		if err != nil {
 			return err
 		}
 		for _, name := range parallelized {
 			rep.Checked++
-			appendMismatches(rep, "workers", seed, golden.Diff(w1[name], w8[name]))
+			appendMismatches(rep, "workers", seed, golden.Diff(seq[name], w8[name]))
 		}
 	}
 	return nil
 }
 
-// workerKernels are the kernels honoring Options.Workers — exactly the set
-// the metamorphic "workers" property runs on. The goldens themselves stay
-// pinned to the serial Workers=0 algorithms; this property is what covers
-// the parallel paths.
-var workerKernels = map[string]bool{
-	"pfl": true, "ekfslam": true, "prm": true,
-	"rrt": true, "rrtstar": true, "rrtpp": true,
-}
+// workerKernels are the kernels whose data-parallel loop honors
+// Options.Workers — exactly the set the metamorphic "workers" property runs
+// on.
+var workerKernels = map[string]bool{"pfl": true, "prm": true}
 
 // runDigest executes one kernel run and digests it. A nil profile runs with
 // full instrumentation (step latency on, the heavier configuration); an

@@ -29,7 +29,7 @@ func TestVerifyGoldens(t *testing.T) {
 // TestVerifyMetamorphic checks the golden-free invariance properties on a
 // cross-stage kernel subset: digests bit-identical at Parallel=1 vs 8,
 // under trial reordering, with profiling on vs profile.Disabled(), and —
-// for the kernels honoring Options.Workers (here pfl) — at Workers=1 vs 8.
+// for the kernels honoring Options.Workers (here pfl) — at Workers=0 vs 8.
 // (CI runs the full 16-kernel metamorphic sweep via `rtrbench verify`.)
 func TestVerifyMetamorphic(t *testing.T) {
 	kernels := []string{"pfl", "pp2d", "cem"}

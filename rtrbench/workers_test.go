@@ -2,6 +2,7 @@ package rtrbench
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"testing"
 
@@ -18,44 +19,29 @@ func workerKernelNames() []string {
 	return names
 }
 
-// TestWorkersDigestInvariance is the suite-level form of the per-kernel
-// determinism tests: for every kernel honoring Options.Workers, the digest at
-// Workers=1 must equal the digest at Workers=8 — the contract the verify
-// command's metamorphic "workers" property enforces in CI.
+// TestWorkersDigestInvariance pins the Workers contract: Workers only
+// schedules a kernel's data-parallel loop, so for every kernel honoring it
+// the digest at each worker count equals the checked-in golden, at both
+// golden seeds.
 func TestWorkersDigestInvariance(t *testing.T) {
 	names := workerKernelNames()
-	w1, err := suiteDigests(context.Background(), names, 1, 2, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w8, err := suiteDigests(context.Background(), names, 1, 2, Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range names {
-		if diffs := golden.Diff(w1[name], w8[name]); len(diffs) > 0 {
-			t.Errorf("%s: workers=8 diverged from workers=1: %v", name, diffs)
-		}
-	}
-}
-
-// TestWorkersSerialUnaffected pins the other half of the contract: Workers=0
-// must select the exact legacy serial algorithms, so its digests match a
-// plain zero-valued Options run (the configuration the checked-in goldens
-// record).
-func TestWorkersSerialUnaffected(t *testing.T) {
-	names := workerKernelNames()
-	serial, err := suiteDigests(context.Background(), names, 1, 2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	zero, err := suiteDigests(context.Background(), names, 1, 2, Options{Workers: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range names {
-		if diffs := golden.Diff(serial[name], zero[name]); len(diffs) > 0 {
-			t.Errorf("%s: Workers=0 diverged from default options: %v", name, diffs)
+	for _, seed := range defaultVerifySeeds {
+		for _, workers := range []int{0, 1, 2, 8} {
+			t.Run(fmt.Sprintf("seed%d/w%d", seed, workers), func(t *testing.T) {
+				got, err := suiteDigests(context.Background(), names, seed, 2, Options{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, name := range names {
+					want, err := golden.Load(DefaultGoldenDir, name, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if diffs := golden.Diff(want, got[name]); len(diffs) > 0 {
+						t.Errorf("%s: workers=%d diverged from the golden: %v", name, workers, diffs)
+					}
+				}
+			})
 		}
 	}
 }

@@ -30,11 +30,13 @@ trap 'rm -f "$tmp"' EXIT
 echo "== Table 1 per-kernel benchmarks (16 kernels, -benchtime $bench_time, -count $bench_count)"
 go test -run '^$' -bench '^BenchmarkTable1_' -benchtime "$bench_time" -count "$bench_count" -benchmem . | tee -a "$tmp"
 
-echo "== intra-kernel workers sweep (pfl/ekfslam/prm/rrt* at 0/1/2/4/8 workers)"
-# The parallel-algorithm scaling curve: w0 is the serial baseline, w1-w8 the
-# deterministic parallel algorithm under growing goroutine budgets. The
+echo "== intra-kernel workers sweep (pfl/prm at 0/1/2/4/8 workers)"
+# Workers only schedules pfl's weigh fan-out and prm's chunked connection:
+# every point of the curve runs the same algorithm with the same digest, so
+# it records the scheduling effect alone (w0 and w1 run inline). The
 # sub-benchmark names land in the snapshot as Workers/<kernel>/w<N>, so
-# benchdiff tracks each point of the curve independently.
+# benchdiff tracks each point independently; the shape stamp keeps a
+# one-core curve from being compared with a multi-core one.
 go test -run '^$' -bench '^BenchmarkWorkers$' -benchtime "$bench_time" -count "$bench_count" -benchmem . | tee -a "$tmp"
 
 echo "== steady-state step benchmarks (zero-alloc gated, -count $bench_count)"

@@ -53,14 +53,21 @@ echo "== golden verify (digest diff, race detector)"
 go run -race ./cmd/rtrbench verify -parallel 1
 go run -race ./cmd/rtrbench verify -parallel 8 -metamorphic
 
-echo "== intra-kernel workers smoke (parallel algorithms, race detector)"
-# The Workers >= 1 code paths of pfl/ekfslam/prm/rrt/rrtstar/rrtpp under the
-# race detector. The workers=1-vs-8 digest equality itself rides the
-# -metamorphic verify stage above (its "workers" property); this stage is
-# what runs the partitioned growth, parallel weigh/motion, and blocked
-# matrix kernels with real goroutine interleavings.
+echo "== intra-kernel workers smoke (data-parallel loops, race detector)"
+# The Workers > 1 code paths — pfl's weigh fan-out and prm's chunked
+# connection — with real goroutine interleavings under the race detector.
+# That they leave every digest unchanged rides the -metamorphic verify stage
+# above (its "workers" property).
 go run -race ./cmd/rtrbench suite --size small --parallel 2 --workers 4 \
-    --kernels pfl,ekfslam,prm,rrt,rrtstar,rrtpp --timeout 120s
+    --kernels pfl,prm --timeout 120s
+
+echo "== concurrency stress (race detector, 1/2/4 procs)"
+# The concurrent tests of the service stack and the data-parallel kernels,
+# repeated at several GOMAXPROCS: a test that assumes cross-call atomicity
+# or sleep-based ordering passes on one core and flakes on more.
+go test -race -count=5 -cpu 1,2,4 ./internal/resultstore ./internal/jobqueue \
+    ./internal/durable ./internal/stream ./internal/profile ./internal/grid \
+    ./internal/core/pfl ./internal/core/prm
 
 echo "== streaming smoke (periodic real-time mode, race detector)"
 # The streaming tentpole end to end: pfl driven as a 2ms-period periodic
