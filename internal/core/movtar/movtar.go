@@ -183,10 +183,10 @@ func Run(ctx context.Context, cfg Config, prof *profile.Profile) (Result, error)
 		return targetPath[i]
 	}
 	space := &pursuitSpace{terrain: terrain, maxTime: maxTime}
-	// Dense search bookkeeping is dramatically faster but needs one slot
-	// per space-time state; fall back to sparse maps on big problems.
-	// The dense book commits only the pages the search touches, so the
-	// threshold guards address-space use, not resident memory.
+	// Dense search bookkeeping is dramatically faster but indexes every
+	// space-time state; fall back to sparse maps on big problems. The dense
+	// book allocates a page only when the search writes a state in it, so
+	// the threshold bounds its page directory, not the states it touches.
 	if states := w * h * maxTime; states <= 64<<20 {
 		space.states = states
 	}

@@ -12,15 +12,15 @@ package pq
 // caller (typically node IDs); each item may appear at most once.
 //
 // The position index is a map by default; NewIndexedHeapDense swaps in a
-// flat slice when the item universe [0, n) is known, which removes hashing
+// paged array when the item universe [0, n) is known, which removes hashing
 // from the graph-search hot loop.
 type IndexedHeap struct {
 	items []int     // heap order
 	prio  []float64 // priority per heap slot
 	pos   map[int]int
 	// densePos[item] = heap slot + 1; 0 = absent. Used instead of pos when
-	// non-nil.
-	densePos []int32
+	// pos is nil.
+	densePos Paged[int32]
 }
 
 // NewIndexedHeap returns an empty heap with capacity hint n.
@@ -33,15 +33,16 @@ func NewIndexedHeap(n int) *IndexedHeap {
 }
 
 // NewIndexedHeapDense returns an empty heap whose items are restricted to
-// [0, universe); its position index is a flat array (zero-initialized, so
-// construction is cheap and untouched pages stay uncommitted).
+// [0, universe); its position index is a Paged array, so construction costs
+// one pointer per page of the universe and an index page is allocated only
+// when an item in it is first pushed.
 func NewIndexedHeapDense(universe int) *IndexedHeap {
-	return &IndexedHeap{densePos: make([]int32, universe)}
+	return &IndexedHeap{densePos: NewPaged[int32](universe)}
 }
 
 func (h *IndexedHeap) lookup(item int) (int, bool) {
-	if h.densePos != nil {
-		p := h.densePos[item]
+	if h.pos == nil {
+		p := h.densePos.Get(item)
 		return int(p) - 1, p != 0
 	}
 	i, ok := h.pos[item]
@@ -49,16 +50,16 @@ func (h *IndexedHeap) lookup(item int) (int, bool) {
 }
 
 func (h *IndexedHeap) setPos(item, slot int) {
-	if h.densePos != nil {
-		h.densePos[item] = int32(slot + 1)
+	if h.pos == nil {
+		h.densePos.Set(item, int32(slot+1))
 		return
 	}
 	h.pos[item] = slot
 }
 
 func (h *IndexedHeap) clearPos(item int) {
-	if h.densePos != nil {
-		h.densePos[item] = 0
+	if h.pos == nil {
+		h.densePos.Set(item, 0)
 		return
 	}
 	delete(h.pos, item)
@@ -69,17 +70,11 @@ func (h *IndexedHeap) Len() int { return len(h.items) }
 
 // Reset empties the heap while retaining its allocated capacity, so a search
 // loop can reuse one heap across episodes without reallocating. The position
-// index is cleared by walking the current items (not the whole dense array),
+// index is cleared by walking the current items (not the whole dense index),
 // so Reset costs O(len) even with a large item universe.
 func (h *IndexedHeap) Reset() {
-	if h.densePos != nil {
-		for _, it := range h.items {
-			h.densePos[it] = 0
-		}
-	} else {
-		for _, it := range h.items {
-			delete(h.pos, it)
-		}
+	for _, it := range h.items {
+		h.clearPos(it)
 	}
 	h.items = h.items[:0]
 	h.prio = h.prio[:0]
@@ -109,7 +104,6 @@ func (h *IndexedHeap) Push(item int, priority float64) {
 	}
 	h.items = append(h.items, item)
 	h.prio = append(h.prio, priority)
-	h.setPos(item, len(h.items)-1)
 	h.up(len(h.items) - 1)
 }
 
@@ -145,52 +139,61 @@ func (h *IndexedHeap) Pop() (item int, priority float64) {
 		panic("pq: Pop from empty heap")
 	}
 	item, priority = h.items[0], h.prio[0]
+	h.clearPos(item)
 	last := len(h.items) - 1
-	h.swap(0, last)
+	h.items[0], h.prio[0] = h.items[last], h.prio[last]
 	h.items = h.items[:last]
 	h.prio = h.prio[:last]
-	h.clearPos(item)
 	if last > 0 {
 		h.down(0)
 	}
 	return item, priority
 }
 
-func (h *IndexedHeap) swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.prio[i], h.prio[j] = h.prio[j], h.prio[i]
-	h.setPos(h.items[i], i)
-	h.setPos(h.items[j], j)
-}
-
+// up sifts the item at slot i toward the root through a hole: each parent it
+// passes moves down one level, and every moved item's position is written
+// once. A swap per level would write two positions per level, and in a
+// dense heap each write is a lookup in the paged index.
 func (h *IndexedHeap) up(i int) {
+	item, p := h.items[i], h.prio[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if h.prio[parent] <= h.prio[i] {
+		if h.prio[parent] <= p {
 			break
 		}
-		h.swap(i, parent)
+		h.place(i, h.items[parent], h.prio[parent])
 		i = parent
 	}
+	h.place(i, item, p)
 }
 
+// down sifts the item at slot i toward the leaves the same way, moving the
+// smaller child up one level at each step.
 func (h *IndexedHeap) down(i int) {
+	item, p := h.items[i], h.prio[i]
 	n := len(h.items)
 	for {
 		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.prio[l] < h.prio[smallest] {
-			smallest = l
+		smallest, sp := i, p
+		if l < n && h.prio[l] < sp {
+			smallest, sp = l, h.prio[l]
 		}
-		if r < n && h.prio[r] < h.prio[smallest] {
-			smallest = r
+		if r < n && h.prio[r] < sp {
+			smallest, sp = r, h.prio[r]
 		}
 		if smallest == i {
-			return
+			break
 		}
-		h.swap(i, smallest)
+		h.place(i, h.items[smallest], sp)
 		i = smallest
 	}
+	h.place(i, item, p)
+}
+
+// place stores item with priority p at heap slot i and records its position.
+func (h *IndexedHeap) place(i, item int, p float64) {
+	h.items[i], h.prio[i] = item, p
+	h.setPos(item, i)
 }
 
 // Heap is a plain binary min-heap of arbitrary values keyed by float64

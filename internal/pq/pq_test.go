@@ -84,40 +84,57 @@ func TestIndexedHeapPopEmptyPanics(t *testing.T) {
 func TestIndexedHeapMixedOpsProperty(t *testing.T) {
 	// Interleave pushes, updates, and pops; the popped sequence must be
 	// non-decreasing as long as no later update lowers below a prior pop.
-	if err := quick.Check(func(seed int64) bool {
-		r := rng.New(seed)
-		h := NewIndexedHeap(8)
-		present := map[int]bool{}
-		next := 0
-		lastPopped := -1e18
-		for op := 0; op < 500; op++ {
-			switch {
-			case h.Len() == 0 || r.Float64() < 0.5:
-				// Priorities only ever >= lastPopped keeps the invariant
-				// testable.
-				h.Push(next, lastPopped+r.Uniform(0, 10))
-				present[next] = true
-				next++
-			case r.Float64() < 0.3:
-				// Raise a random present item.
-				for id := range present {
-					if p, ok := h.Priority(id); ok {
-						h.Update(id, p+r.Uniform(0, 5))
-					}
-					break
-				}
-			default:
-				id, p := h.Pop()
-				delete(present, id)
-				if p < lastPopped-1e-9 {
-					return false
-				}
-				lastPopped = p
+	// The dense heap's universe spans several index pages with a partial
+	// last page, and its item ids are scattered across all of them.
+	const universe = 5*pageSize + 37
+	for _, dense := range []bool{false, true} {
+		if err := quick.Check(func(seed int64) bool {
+			r := rng.New(seed)
+			h, item := NewIndexedHeap(8), func(k int) int { return k }
+			if dense {
+				// 7919 is prime and does not divide universe, so the first
+				// universe values of k map to distinct items.
+				h, item = NewIndexedHeapDense(universe), func(k int) int { return k * 7919 % universe }
 			}
+			present := map[int]bool{}
+			next := 0
+			lastPopped := -1e18
+			for op := 0; op < 500; op++ {
+				switch {
+				case h.Len() == 0 || r.Float64() < 0.5:
+					// Priorities only ever >= lastPopped keeps the
+					// invariant testable.
+					id := item(next)
+					if h.Contains(id) {
+						return false
+					}
+					h.Push(id, lastPopped+r.Uniform(0, 10))
+					present[id] = true
+					next++
+				case r.Float64() < 0.3:
+					// Raise a random present item.
+					for id := range present {
+						if p, ok := h.Priority(id); ok {
+							h.Update(id, p+r.Uniform(0, 5))
+						}
+						break
+					}
+				default:
+					id, p := h.Pop()
+					if !present[id] || h.Contains(id) {
+						return false
+					}
+					delete(present, id)
+					if p < lastPopped-1e-9 {
+						return false
+					}
+					lastPopped = p
+				}
+			}
+			return h.Len() == len(present)
+		}, &quick.Config{MaxCount: 30}); err != nil {
+			t.Fatalf("dense=%v: %v", dense, err)
 		}
-		return true
-	}, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
 }
 

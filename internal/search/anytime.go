@@ -41,16 +41,7 @@ func SolveAnytime(p Problem, schedule []float64) ([]AnytimeResult, error) {
 		h = func(int) float64 { return 0 }
 	}
 
-	var book bookkeeping
-	var open *pq.IndexedHeap
-	if s, ok := p.Space.(Sized); ok && s.NumStates() > 0 {
-		book = newDenseBook(s.NumStates())
-		open = pq.NewIndexedHeapDense(s.NumStates())
-	} else {
-		book = newSparseBook()
-		open = pq.NewIndexedHeap(64)
-	}
-
+	book, open := newBook(p.Space)
 	book.setG(p.Start, 0)
 	book.setParent(p.Start, p.Start)
 

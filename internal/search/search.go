@@ -6,9 +6,9 @@
 //
 // The search is generic over a Space: states are dense or sparse integer
 // IDs, successors are produced through a callback so that hot loops do not
-// allocate. Spaces that report their state count get slice-backed search
-// bookkeeping; unbounded spaces (the symbolic planner's implicit state
-// graph) fall back to maps.
+// allocate. Spaces that report their state count get array-backed search
+// bookkeeping, allocated in pages as the search touches them; unbounded
+// spaces (the symbolic planner's implicit state graph) fall back to maps.
 package search
 
 import (
@@ -26,7 +26,7 @@ type Space interface {
 }
 
 // Sized is implemented by spaces with a known, dense state range [0, n).
-// Solve uses slice-backed bookkeeping for such spaces.
+// Solve uses paged-array bookkeeping for such spaces.
 type Sized interface {
 	NumStates() int
 }
@@ -100,27 +100,40 @@ func Solve(p Problem) (Result, error) {
 		w = 1
 	}
 
-	var book bookkeeping
-	var open *pq.IndexedHeap
-	if s, ok := p.Space.(Sized); ok && s.NumStates() > 0 {
-		book = newDenseBook(s.NumStates())
-		open = pq.NewIndexedHeapDense(s.NumStates())
-	} else {
-		book = newSparseBook()
-		open = pq.NewIndexedHeap(64)
-	}
+	book, open := newBook(p.Space)
 	book.setG(p.Start, 0)
 	book.setParent(p.Start, p.Start)
 	open.Push(p.Start, w*h(p.Start))
 
 	var res Result
+	// relax is built once per search, not per expansion: a closure handed
+	// to an interface method escapes, so a per-expansion literal would be
+	// one heap allocation per expanded state.
+	var id int
+	var gid float64
+	relax := func(to int, cost float64) {
+		res.Genered++
+		if cost < 0 {
+			panic("search: negative edge cost")
+		}
+		if book.closed(to) {
+			return
+		}
+		ng := gid + cost
+		if old, ok := book.gOk(to); ok && old <= ng {
+			return
+		}
+		book.setG(to, ng)
+		book.setParent(to, id)
+		open.Update(to, ng+w*h(to))
+	}
 	for open.Len() > 0 {
 		if p.Ctx != nil && res.Expanded%ctxCheckStride == 0 {
 			if err := p.Ctx.Err(); err != nil {
 				return res, err
 			}
 		}
-		id, _ := open.Pop()
+		id, _ = open.Pop()
 		if book.closed(id) {
 			continue
 		}
@@ -137,23 +150,8 @@ func Solve(p Problem) (Result, error) {
 			break
 		}
 
-		gid := book.g(id)
-		p.Space.Neighbors(id, func(to int, cost float64) {
-			res.Genered++
-			if cost < 0 {
-				panic("search: negative edge cost")
-			}
-			if book.closed(to) {
-				return
-			}
-			ng := gid + cost
-			if old, ok := book.gOk(to); ok && old <= ng {
-				return
-			}
-			book.setG(to, ng)
-			book.setParent(to, id)
-			open.Update(to, ng+w*h(to))
-		})
+		gid = book.g(id)
+		p.Space.Neighbors(id, relax)
 	}
 	return res, ErrNoPath
 }
@@ -172,7 +170,7 @@ func reconstruct(book bookkeeping, start, goal int) []int {
 	return rev
 }
 
-// bookkeeping abstracts dense (slice) vs sparse (map) search state.
+// bookkeeping abstracts dense (paged array) vs sparse (map) search state.
 type bookkeeping interface {
 	g(id int) float64
 	gOk(id int) (float64, bool)
@@ -183,38 +181,45 @@ type bookkeeping interface {
 	close(id int)
 }
 
-// denseBook keeps search state in flat arrays. All arrays are zero-value
-// initialized (the runtime hands back zeroed pages), so construction is
-// O(1) in touched memory: par uses 0 as "unvisited" and stores parent+1,
-// and gv is only meaningful where par != 0. Untouched pages are never
-// committed, so a dense book over a large state space costs only the
-// states the search actually visits.
+// newBook returns the bookkeeping and open list for a search over sp:
+// paged arrays when sp is Sized, maps otherwise.
+func newBook(sp Space) (bookkeeping, *pq.IndexedHeap) {
+	if s, ok := sp.(Sized); ok && s.NumStates() > 0 {
+		return newDenseBook(s.NumStates()), pq.NewIndexedHeapDense(s.NumStates())
+	}
+	return newSparseBook(), pq.NewIndexedHeap(64)
+}
+
+// denseBook keeps search state in paged arrays over the state range, so a
+// search pays for the pages it writes, not for the whole space: par uses 0
+// as "unvisited" and stores parent+1, and gv is only meaningful where
+// par != 0.
 type denseBook struct {
-	gv      []float64
-	par     []uint32
-	closedB []bool
+	gv      pq.Paged[float64]
+	par     pq.Paged[uint32]
+	closedB pq.Paged[bool]
 }
 
 func newDenseBook(n int) *denseBook {
 	return &denseBook{
-		gv:      make([]float64, n),
-		par:     make([]uint32, n),
-		closedB: make([]bool, n),
+		gv:      pq.NewPaged[float64](n),
+		par:     pq.NewPaged[uint32](n),
+		closedB: pq.NewPaged[bool](n),
 	}
 }
 
-func (b *denseBook) g(id int) float64 { return b.gv[id] }
+func (b *denseBook) g(id int) float64 { return b.gv.Get(id) }
 func (b *denseBook) gOk(id int) (float64, bool) {
-	if b.par[id] == 0 {
+	if b.par.Get(id) == 0 {
 		return 0, false
 	}
-	return b.gv[id], true
+	return b.gv.Get(id), true
 }
-func (b *denseBook) setG(id int, v float64) { b.gv[id] = v }
-func (b *denseBook) parent(id int) int      { return int(b.par[id]) - 1 }
-func (b *denseBook) setParent(id, p int)    { b.par[id] = uint32(p + 1) }
-func (b *denseBook) closed(id int) bool     { return b.closedB[id] }
-func (b *denseBook) close(id int)           { b.closedB[id] = true }
+func (b *denseBook) setG(id int, v float64) { b.gv.Set(id, v) }
+func (b *denseBook) parent(id int) int      { return int(b.par.Get(id)) - 1 }
+func (b *denseBook) setParent(id, p int)    { b.par.Set(id, uint32(p+1)) }
+func (b *denseBook) closed(id int) bool     { return b.closedB.Get(id) }
+func (b *denseBook) close(id int)           { b.closedB.Set(id, true) }
 
 type sparseBook struct {
 	gv      map[int]float64

@@ -2,6 +2,8 @@ package search
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -112,18 +114,20 @@ func TestWeightedAStarBoundedSuboptimality(t *testing.T) {
 
 func TestSparseAndDenseBookkeepingAgree(t *testing.T) {
 	// The same graph solved with a Sized space (dense book) and an
-	// anonymous wrapper (sparse book) must produce identical costs.
+	// anonymous wrapper (sparse book) must produce identical searches. The
+	// 45x47 grid spans several bookkeeping pages with a partial last page.
 	type wrapper struct{ Space } // hides NumStates
+	const w, h = 45, 47
 	if err := quick.Check(func(seed int64) bool {
 		r := rng.New(seed)
-		g := grid.NewGrid2D(15, 15)
-		for i := 0; i < 60; i++ {
-			g.Set(r.Intn(15), r.Intn(15), true)
+		g := grid.NewGrid2D(w, h)
+		for i := 0; i < 560; i++ {
+			g.Set(r.Intn(w), r.Intn(h), true)
 		}
 		g.Set(0, 0, false)
-		g.Set(14, 14, false)
+		g.Set(w-1, h-1, false)
 		sp := &Grid2DSpace{G: g}
-		start, goal := sp.ID(0, 0), sp.ID(14, 14)
+		start, goal := sp.ID(0, 0), sp.ID(w-1, h-1)
 
 		dense, errD := Solve(Problem{Space: sp, Start: start, Goal: goal})
 		sparse, errS := Solve(Problem{Space: wrapper{sp}, Start: start, Goal: goal})
@@ -133,9 +137,44 @@ func TestSparseAndDenseBookkeepingAgree(t *testing.T) {
 		if errD != nil {
 			return true
 		}
-		return math.Abs(dense.Cost-sparse.Cost) < 1e-9 && dense.Expanded == sparse.Expanded
+		return dense.Cost == sparse.Cost && dense.Expanded == sparse.Expanded &&
+			slices.Equal(dense.Path, sparse.Path)
 	}, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// chainSpace is a Sized space of n states of which only a short chain is
+// reachable: 0 -> stride -> 2*stride -> ..., every edge costing 1.
+type chainSpace struct{ n, stride int }
+
+func (c chainSpace) NumStates() int { return c.n }
+
+func (c chainSpace) Neighbors(id int, yield func(int, float64)) {
+	if next := id + c.stride; next < c.n {
+		yield(next, 1)
+	}
+}
+
+func TestDenseBookkeepingCostsOnlyTouchedStates(t *testing.T) {
+	// Flat bookkeeping over 1<<22 states would allocate about 71 MB on
+	// every search, however few states it visits. The chain's nine states
+	// land on nine different pages, the last in the final page.
+	const n = 1 << 22
+	sp := chainSpace{n: n, stride: n/8 - 1}
+	goal := 8 * sp.stride
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Solve(Problem{Space: sp, Start: 0, Goal: goal})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cost != 8 || len(res.Path) != 9 || res.Path[8] != goal {
+		t.Fatalf("res = %+v, want the 9-state chain to %d", res, goal)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("Solve allocated %d bytes for a %d-state space, want < 1 MB", alloc, n)
 	}
 }
 

@@ -28,6 +28,11 @@ type Engine struct {
 	// trials of one kernel run against; nil uses the default profile
 	// configured from the run options (deadline, step latency).
 	NewProfile func(Options) *profile.Profile
+
+	// beforeSlot, when set, runs in each kernel's worker just before it
+	// waits for a worker slot, so tests can order events against the
+	// semaphore without sleeping.
+	beforeSlot func()
 }
 
 // Run resolves the kernel selection in opts and executes the sweep. It is
@@ -79,6 +84,9 @@ func (e *Engine) runKernels(ctx context.Context, infos []Info, opts SuiteOptions
 			// pre-fix, every queued worker eventually acquired the
 			// semaphore and spun up a doomed run. Report the cancellation
 			// immediately instead.
+			if e.beforeSlot != nil {
+				e.beforeSlot()
+			}
 			select {
 			case sem <- struct{}{}:
 			case <-runCtx.Done():

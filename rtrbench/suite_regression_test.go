@@ -4,9 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/profile"
 )
@@ -66,20 +66,23 @@ func TestFailedTrialLeavesNoPartialSamples(t *testing.T) {
 func TestSuiteCancelSkipsQueuedKernels(t *testing.T) {
 	const n = 9
 	var started atomic.Int32
+	// The running kernel fails only once every worker, its own included,
+	// has reached the semaphore.
+	var queued sync.WaitGroup
+	queued.Add(n)
 	infos := make([]Info, n)
 	for i := range infos {
 		infos[i] = Info{
 			Name: fmt.Sprintf("fake-fail-%d", i),
 			runWith: func(ctx context.Context, o Options, p *profile.Profile) (Result, error) {
 				started.Add(1)
-				// Long enough for every queued worker to reach the
-				// semaphore before the failure cancels the suite.
-				time.Sleep(50 * time.Millisecond)
+				queued.Wait()
 				return Result{}, errors.New("boom")
 			},
 		}
 	}
-	res, err := (&Engine{}).RunKernels(context.Background(), infos, SuiteOptions{Parallel: 1})
+	e := &Engine{beforeSlot: queued.Done}
+	res, err := e.RunKernels(context.Background(), infos, SuiteOptions{Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,30 +78,29 @@ func TestRunContextCancelled(t *testing.T) {
 	}
 }
 
-// TestRunContextCancelMidRun cancels during a long run and checks the
-// kernel stops within a step, not at the end of the workload.
+// TestRunContextCancelMidRun cancels from the first step of a 25-step pfl
+// run and checks the kernel stops within a step, not at the end of the
+// workload. The cancel runs in the profile's step hook, so it lands at the
+// same point of the run every time.
 func TestRunContextCancelMidRun(t *testing.T) {
+	k, ok := Lookup("pfl")
+	if !ok {
+		t.Fatal("pfl not registered")
+	}
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	start := time.Now()
-	go func() {
-		// Default-size pp2d (512x512 city) takes far longer than the
-		// cancellation bound.
-		_, err := RunContext(ctx, "pp2d", Options{Size: SizeDefault})
-		done <- err
-	}()
-	time.Sleep(20 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-		if d := time.Since(start); d > 3*time.Second {
-			t.Errorf("cancellation took %v, want well under the full run", d)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("kernel ignored cancellation")
+	defer cancel()
+	opts := Options{Size: SizeSmall}
+	p := newProfile(opts)
+	steps := 0
+	p.SetStepHook(func() {
+		steps++
+		cancel()
+	})
+	if _, err := k.runWith(ctx, opts, p); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if steps != 1 {
+		t.Errorf("kernel finished %d steps, want 1 (it must stop at the first step after cancellation)", steps)
 	}
 }
 

@@ -64,10 +64,14 @@ go run -race ./cmd/rtrbench suite --size small --parallel 2 --workers 4 \
 echo "== concurrency stress (race detector, 1/2/4 procs)"
 # The concurrent tests of the service stack and the data-parallel kernels,
 # repeated at several GOMAXPROCS: a test that assumes cross-call atomicity
-# or sleep-based ordering passes on one core and flakes on more.
+# or sleep-based ordering passes on one core and flakes on more. From the
+# rtrbench package only the engine's cancellation tests run here, by name:
+# the whole package takes minutes per pass.
 go test -race -count=5 -cpu 1,2,4 ./internal/resultstore ./internal/jobqueue \
     ./internal/durable ./internal/stream ./internal/profile ./internal/grid \
-    ./internal/core/pfl ./internal/core/prm
+    ./internal/core/pfl ./internal/core/prm ./cmd/rtrbenchd
+go test -race -count=5 -cpu 1,2,4 \
+    -run '^(TestSuiteCancelSkipsQueuedKernels|TestRunContextCancelMidRun)$' ./rtrbench
 
 echo "== streaming smoke (periodic real-time mode, race detector)"
 # The streaming tentpole end to end: pfl driven as a 2ms-period periodic
