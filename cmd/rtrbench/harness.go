@@ -79,7 +79,7 @@ func (h *harness) parse(args []string) error {
 		h.cpuFile = f
 	}
 	if h.httpdebug != "" {
-		dbg, err := obs.StartDebug(h.httpdebug, nil)
+		dbg, err := obs.StartDebugServer(obs.DebugOptions{Addr: h.httpdebug})
 		if err != nil {
 			return err
 		}
@@ -185,7 +185,8 @@ func (h *harness) writer() (io.Writer, func(), error) {
 	return f, func() { f.Close() }, nil
 }
 
-// kernelReport assembles the flat schema shared with cmd/report.
+// kernelReport assembles the rtrbench.report/v1 row of a single run; suite
+// sweeps and rtrbenchd convert their results through internal/report.
 func (h *harness) kernelReport(rep profile.Report, metrics map[string]interface{}) obs.KernelReport {
 	kr := obs.KernelReport{
 		Kernel:       h.name,

@@ -7,10 +7,15 @@
 //
 //	rtrbench <kernel> [flags]
 //	rtrbench suite [flags]
+//	rtrbench report <experiment> [--size small|default] [--seed N]
 //	rtrbench stream [flags]
 //	rtrbench verify [flags]
 //	rtrbench list
 //	rtrbench <kernel> --help
+//
+// `rtrbench suite` prints the paper's Table I; `rtrbench report` runs the
+// other evaluations: rrtcompare (§V.9-10), movtarsweep (§V.6), symcompare
+// (§V.12) and fig21 (Fig. 21).
 //
 // Examples:
 //
@@ -18,6 +23,7 @@
 //	rtrbench pfl --particles 5000 --steps 200 --region 3
 //	rtrbench movtar --size 384 --epsilon 3
 //	rtrbench suite --trials 5 --warmup 1 --parallel 8 --timeout 60s
+//	rtrbench report rrtcompare --size default
 //	rtrbench stream -kernel pfl -period 2ms -deadline 2ms -duration 1s
 //
 // Every kernel additionally accepts the shared observability flags:
@@ -76,6 +82,12 @@ func main() {
 			os.Exit(1)
 		}
 		return
+	case "report":
+		if err := runReport(args); err != nil {
+			fmt.Fprintf(os.Stderr, "rtrbench report: %v\n", err)
+			os.Exit(1)
+		}
+		return
 	case "stream":
 		if err := runStream(args); err != nil {
 			fmt.Fprintf(os.Stderr, "rtrbench stream: %v\n", err)
@@ -106,7 +118,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Println("USAGE:\n  rtrbench <kernel> [OPTIONS]\n  rtrbench suite [OPTIONS]\n  rtrbench stream [OPTIONS]\n  rtrbench verify [OPTIONS]\n  rtrbench list\n\nKERNELS:")
+	fmt.Println("USAGE:\n  rtrbench <kernel> [OPTIONS]\n  rtrbench suite [OPTIONS]\n  rtrbench report rrtcompare|movtarsweep|symcompare|fig21 [--size small|default] [--seed N]\n  rtrbench stream [OPTIONS]\n  rtrbench verify [OPTIONS]\n  rtrbench list\n\nKERNELS:")
 	listKernels()
 	fmt.Println("\nRun `rtrbench <kernel> --help` for the kernel's options.")
 }

@@ -64,7 +64,7 @@ func runStream(args []string) error {
 	opts.Policy = p
 
 	if *httpdebug != "" {
-		dbg, err := obs.StartDebug(*httpdebug, nil)
+		dbg, err := obs.StartDebugServer(obs.DebugOptions{Addr: *httpdebug})
 		if err != nil {
 			return err
 		}

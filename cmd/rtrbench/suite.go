@@ -79,14 +79,11 @@ func runSuite(args []string) error {
 		opts.BestEffort = true
 		opts.ContinueOnError = true
 	}
-	switch *size {
-	case "small":
-		opts.Size = rtrbench.SizeSmall
-	case "default":
-		opts.Size = rtrbench.SizeDefault
-	default:
-		return fmt.Errorf("unknown --size %q (want small or default)", *size)
+	sz, err := parseSize(*size)
+	if err != nil {
+		return err
 	}
+	opts.Size = sz
 	if *kernels != "" {
 		for _, name := range strings.Split(*kernels, ",") {
 			opts.Kernels = append(opts.Kernels, strings.TrimSpace(name))
@@ -95,7 +92,7 @@ func runSuite(args []string) error {
 
 	// Normalize up front so flag mistakes fail before any kernel runs and
 	// the report header shows the effective (defaulted) settings.
-	opts, err := opts.Normalize()
+	opts, err = opts.Normalize()
 	if err != nil {
 		return err
 	}
@@ -160,7 +157,9 @@ func suiteExitError(res rtrbench.SuiteResult, chaos bool) error {
 	return fmt.Errorf("suite: %d kernel failure(s); first: %s: %v", len(fails), fails[0].Kernel, fails[0].Err)
 }
 
-// suiteText prints the human-readable sweep table.
+// suiteText prints the human-readable sweep table. Its dominant and share
+// columns are the paper's Table I: the measured dominant phase, starred
+// when the paper names it as the kernel's bottleneck, and its ROI share.
 func suiteText(w io.Writer, res rtrbench.SuiteResult, opts rtrbench.SuiteOptions) {
 	trials := opts.Trials
 	if trials <= 0 {
@@ -168,28 +167,34 @@ func suiteText(w io.Writer, res rtrbench.SuiteResult, opts rtrbench.SuiteOptions
 	}
 	fmt.Fprintf(w, "suite: %d kernels, %d trial(s), parallel=%d, %v total\n",
 		len(res.Kernels), trials, opts.Parallel, res.Elapsed.Round(time.Millisecond))
+	fmt.Fprintf(w, "%-3s %-10s %-10s %-15s %6s ", "#", "kernel", "stage", "dominant", "share")
 	if trials > 1 {
-		fmt.Fprintf(w, "%-3s %-10s %-10s %12s %12s %12s %s\n",
-			"#", "kernel", "stage", "roi-mean", "roi-min", "roi-stddev", "status")
+		fmt.Fprintf(w, "%12s %12s %12s %s\n", "roi-mean", "roi-min", "roi-stddev", "status")
 	} else {
-		fmt.Fprintf(w, "%-3s %-10s %-10s %12s %s\n", "#", "kernel", "stage", "roi", "status")
+		fmt.Fprintf(w, "%12s %s\n", "roi", "status")
 	}
 	for _, k := range res.Kernels {
+		dominant, share := "-", "-"
+		if d := k.Result.Dominant(); d != "" {
+			dominant, share = d, fmt.Sprintf("%.1f%%", 100*k.Result.Fraction(d))
+			if report.MatchesPaper(k.Info, d) {
+				dominant += "*"
+			}
+		}
+		fmt.Fprintf(w, "%-3d %-10s %-10s %-15s %6s ",
+			k.Info.Index, k.Info.Name, k.Info.Stage, dominant, share)
 		status := suiteStatus(k)
 		if ts := k.Trials; ts != nil && trials > 1 {
-			fmt.Fprintf(w, "%-3d %-10s %-10s %12v %12v %12v %s\n",
-				k.Info.Index, k.Info.Name, k.Info.Stage,
+			fmt.Fprintf(w, "%12v %12v %12v %s\n",
 				ts.ROIMean.Round(time.Microsecond), ts.ROIMin.Round(time.Microsecond),
 				ts.ROIStddev.Round(time.Microsecond), status)
 		} else if trials > 1 {
-			fmt.Fprintf(w, "%-3d %-10s %-10s %12s %12s %12s %s\n",
-				k.Info.Index, k.Info.Name, k.Info.Stage, "-", "-", "-", status)
+			fmt.Fprintf(w, "%12s %12s %12s %s\n", "-", "-", "-", status)
 		} else {
-			fmt.Fprintf(w, "%-3d %-10s %-10s %12v %s\n",
-				k.Info.Index, k.Info.Name, k.Info.Stage,
-				k.Result.ROI.Round(time.Microsecond), status)
+			fmt.Fprintf(w, "%12v %s\n", k.Result.ROI.Round(time.Microsecond), status)
 		}
 	}
+	fmt.Fprintln(w, "(* = the measured dominant phase is the paper's Table I bottleneck)")
 	if fails := res.Failures(); len(fails) > 0 {
 		fmt.Fprintf(w, "\nfailures (%d):\n", len(fails))
 		for _, f := range fails {
@@ -225,4 +230,15 @@ func suiteStatus(k rtrbench.KernelResult) string {
 		status += fmt.Sprintf("  retries=%d", k.Retried)
 	}
 	return status
+}
+
+// parseSize maps the --size flag of suite and report onto rtrbench.Size.
+func parseSize(s string) (rtrbench.Size, error) {
+	switch s {
+	case "small":
+		return rtrbench.SizeSmall, nil
+	case "default":
+		return rtrbench.SizeDefault, nil
+	}
+	return 0, fmt.Errorf("unknown --size %q (want small or default)", s)
 }

@@ -8,8 +8,8 @@
 // Weighted A* with the heuristic inflated by ε. The paper's evaluation
 // highlights that the heuristic precomputation's share of end-to-end time
 // is input-dependent: up to 62% on small environments, vanishing on large
-// ones where the space-time search dominates — the size sweep in
-// cmd/report and the benchmarks reproduce that crossover.
+// ones where the space-time search dominates — `rtrbench report
+// movtarsweep` and the benchmarks reproduce that crossover.
 package movtar
 
 import (

@@ -1,7 +1,7 @@
 // Package obs is the suite's observability layer: latency histograms with
 // quantile estimation, Chrome trace_event export, the machine-readable
-// kernel-report schema shared by cmd/rtrbench and cmd/report, a live counter
-// registry, and a pprof/metrics debug server.
+// kernel-report schema emitted by cmd/rtrbench and cmd/rtrbenchd, a live
+// counter registry, and a pprof/metrics debug server.
 //
 // The design follows the exposition layers of real-time benchmark frameworks
 // (RT-Bench's per-job latency distributions and uniform machine-readable

@@ -10,8 +10,9 @@ import (
 )
 
 // SchemaVersion identifies the flat kernel-report schema emitted by
-// `rtrbench <kernel> --format=json|csv` and `report -table1 -json`. Bump it
-// when a field changes meaning; additions are backward compatible.
+// `rtrbench <kernel> --format=json|csv`, `rtrbench suite --format=json|csv`
+// and rtrbenchd. Bump it when a field changes meaning; additions are
+// backward compatible.
 const SchemaVersion = "rtrbench.report/v1"
 
 // PhaseReport is one instrumented phase in the flat report schema.
@@ -94,7 +95,7 @@ type FaultReport struct {
 }
 
 // TrialsReport aggregates the measured trials of one kernel in a suite
-// sweep (`report -trials N`). It is an optional, backward-compatible
+// sweep (`rtrbench suite --trials N`). It is an optional, backward-compatible
 // addition to rtrbench.report/v1: single-run reports omit it. roi_* are the
 // per-trial ROI statistics; steps is the latency distribution merged over
 // every trial (the per-trial one stays in the top-level steps field).
@@ -115,10 +116,10 @@ type TrialsReport struct {
 }
 
 // KernelReport is one kernel execution in the shared machine-readable
-// schema. cmd/rtrbench emits one report per run; cmd/report emits an array
-// (one per kernel of the Table I sweep). Fields tied to the paper's
-// characterization (Index, PaperBottlenecks, MatchesPaper) are filled only
-// by sweeps that know the registry entry.
+// schema. `rtrbench <kernel>` emits one report per run; `rtrbench suite` and
+// rtrbenchd emit an array (one per kernel of the Table I sweep). Fields tied
+// to the paper's characterization (PaperBottlenecks, MatchesPaper) are
+// filled only by sweeps, which know the registry entry.
 type KernelReport struct {
 	Schema           string             `json:"schema"`
 	Kernel           string             `json:"kernel"`

@@ -154,7 +154,7 @@ func TestRegistryAndMetrics(t *testing.T) {
 func TestDebugServer(t *testing.T) {
 	reg := &Registry{}
 	reg.Add("runs", 1)
-	s, err := StartDebug("127.0.0.1:0", reg)
+	s, err := StartDebugServer(DebugOptions{Addr: "127.0.0.1:0", Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

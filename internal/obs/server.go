@@ -60,13 +60,6 @@ type DebugOptions struct {
 // written by `benchdiff -ledger append`.
 const DefaultLedgerPath = "PERF_LEDGER.jsonl"
 
-// StartDebug starts a debug server on addr (host:port; port 0 picks a free
-// port). reg supplies the /metrics counters; nil uses LiveCounters. The
-// ledger endpoints use DefaultLedgerPath.
-func StartDebug(addr string, reg *Registry) (*DebugServer, error) {
-	return StartDebugServer(DebugOptions{Addr: addr, Registry: reg})
-}
-
 // ledgerState is the /ledger response document.
 type ledgerState struct {
 	// Path is the ledger file backing this view.

@@ -511,9 +511,9 @@ func (r Report) Dominant() string {
 	return r.Phases[0].Name
 }
 
-// String renders the report as the characterization table used by
-// cmd/report: phase, time, calls, and percentage of ROI, followed by the
-// step-latency distribution when recorded.
+// String renders the report as a characterization table: phase, time,
+// calls, and percentage of ROI, followed by the step-latency distribution
+// when recorded.
 func (r Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "ROI: %v\n", r.ROI)

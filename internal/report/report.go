@@ -1,13 +1,13 @@
 // Package report converts engine results into the rtrbench.report/v1
 // schema (internal/obs). It is the one serialization point shared by every
-// consumer of suite results — the `rtrbench suite` CLI, cmd/report, and
-// the rtrbenchd service — so a result document means the same thing no
-// matter which surface emitted it.
+// consumer of suite results — the `rtrbench suite` CLI (Table I) and the
+// rtrbenchd service — so a result document means the same thing no matter
+// which surface emitted it.
 package report
 
 import (
 	"errors"
-	"time"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/rtrbench"
@@ -24,11 +24,14 @@ func Suite(res rtrbench.SuiteResult) []obs.KernelReport {
 
 // Kernel converts one kernel's suite outcome to its report entry.
 func Kernel(k rtrbench.KernelResult) obs.KernelReport {
+	dominant := k.Result.Dominant()
 	kr := obs.KernelReport{
 		Kernel:           k.Info.Name,
 		Stage:            string(k.Info.Stage),
 		Index:            k.Info.Index,
 		ROISeconds:       k.Result.ROI.Seconds(),
+		Dominant:         dominant,
+		MatchesPaper:     MatchesPaper(k.Info, dominant),
 		Inconsistent:     k.Result.Inconsistent,
 		Counters:         k.Result.Counters,
 		Metrics:          k.Result.Metrics,
@@ -42,7 +45,6 @@ func Kernel(k rtrbench.KernelResult) obs.KernelReport {
 		}
 	}
 	kr.Degraded = k.Result.Degraded
-	dominant, dominantDur := "", time.Duration(0)
 	for _, ph := range k.Result.Phases {
 		kr.Phases = append(kr.Phases, obs.PhaseReport{
 			Name:     ph.Name,
@@ -50,11 +52,7 @@ func Kernel(k rtrbench.KernelResult) obs.KernelReport {
 			Calls:    ph.Calls,
 			Fraction: ph.Fraction,
 		})
-		if ph.Duration > dominantDur {
-			dominant, dominantDur = ph.Name, ph.Duration
-		}
 	}
-	kr.Dominant = dominant
 	kr.Steps = Steps(k.Result.Steps)
 	if ts := k.Trials; ts != nil {
 		kr.Trials = &obs.TrialsReport{
@@ -78,6 +76,12 @@ func Kernel(k rtrbench.KernelResult) obs.KernelReport {
 		}
 	}
 	return kr
+}
+
+// MatchesPaper reports whether a measured dominant phase confirms the
+// paper's Table I bottleneck for the kernel (one of Info.ExpectDominant).
+func MatchesPaper(k rtrbench.Info, dominant string) bool {
+	return slices.Contains(k.ExpectDominant, dominant)
 }
 
 // Stream converts a streaming-mode result into its report entry: the

@@ -43,6 +43,11 @@ echo "== suite smoke sweep (parallel, race detector)"
 # per-run timeout so a hung kernel fails the gate instead of wedging it.
 go run -race ./cmd/rtrbench suite --size small --parallel 4 --timeout 120s
 
+echo "== paper experiment smoke (rtrbench report)"
+# One of the evaluations beyond Table I, end to end through the kernel
+# registry; the other three take seconds to minutes at small size.
+go run ./cmd/rtrbench report symcompare
+
 echo "== golden verify (digest diff, race detector)"
 # Correctness gate: every kernel's result digest (operation counts and
 # final-state summaries, never timings) must match the goldens checked in
@@ -65,13 +70,14 @@ echo "== concurrency stress (race detector, 1/2/4 procs)"
 # The concurrent tests of the service stack and the data-parallel kernels,
 # repeated at several GOMAXPROCS: a test that assumes cross-call atomicity
 # or sleep-based ordering passes on one core and flakes on more. From the
-# rtrbench package only the engine's cancellation tests run here, by name:
-# the whole package takes minutes per pass.
+# rtrbench package only the engine's cancellation tests and the streaming
+# tests (TestStream*) run here, by name: the whole package takes minutes
+# per pass.
 go test -race -count=5 -cpu 1,2,4 ./internal/resultstore ./internal/jobqueue \
     ./internal/durable ./internal/stream ./internal/profile ./internal/grid \
     ./internal/core/pfl ./internal/core/prm ./cmd/rtrbenchd
 go test -race -count=5 -cpu 1,2,4 \
-    -run '^(TestSuiteCancelSkipsQueuedKernels|TestRunContextCancelMidRun)$' ./rtrbench
+    -run '^(TestSuiteCancelSkipsQueuedKernels|TestRunContextCancelMidRun|TestStream.*)$' ./rtrbench
 
 echo "== streaming smoke (periodic real-time mode, race detector)"
 # The streaming tentpole end to end: pfl driven as a 2ms-period periodic
