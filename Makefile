@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-all benchdiff ledger-append ledger-verify ci fmt vet verify golden-update stream
+.PHONY: all build test race bench bench-all benchdiff ci fmt vet verify golden-update stream
 
 all: build
 
@@ -28,16 +28,6 @@ bench-all:
 # (Mann-Whitney U per benchmark; nonzero exit on significant regressions).
 benchdiff:
 	$(GO) run ./cmd/benchdiff $(OLD) $(NEW)
-
-# Chain a verified snapshot into the tamper-evident perf ledger:
-# make ledger-append SNAP=BENCH_2026-08-07.json (run `make verify` first —
-# the snapshot embeds the golden digests it was measured against).
-ledger-append:
-	$(GO) run ./cmd/benchdiff -ledger append $(SNAP)
-
-# Verify the whole ledger hash chain.
-ledger-verify:
-	$(GO) run ./cmd/benchdiff -ledger verify
 
 fmt:
 	gofmt -l .

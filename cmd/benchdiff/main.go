@@ -1,7 +1,5 @@
 // Command benchdiff is the statistical regression gate over benchmark
-// snapshots, and the CLI of the perf ledger.
-//
-// Snapshot comparison (the default mode):
+// snapshots:
 //
 //	benchdiff [flags] OLD.json NEW.json [MORE.json...]
 //
@@ -12,18 +10,8 @@
 // than the -threshold noise floor. allocs/op is deterministic, so any
 // increase flags without a significance test (this subsumes the old CI
 // alloc gate); -zeroalloc additionally pins matching benchmarks to exactly
-// 0 allocs/op. Exit status: 0 clean, 1 regression or verification
-// failure, 2 usage error.
-//
-// Ledger mode (-ledger <verb>):
-//
-//	benchdiff -ledger append SNAPSHOT.json   verify chain, seal + append
-//	benchdiff -ledger verify                 verify the whole hash chain
-//	benchdiff -ledger show                   one line per entry
-//	benchdiff -ledger diff                   compare the last two entries
-//
-// The ledger file (default PERF_LEDGER.jsonl, -ledger-file) is the
-// hash-chained longitudinal history owned by internal/ledger.
+// 0 allocs/op. Exit status: 0 clean, 1 regression or unreadable input,
+// 2 usage error.
 package main
 
 import (
@@ -34,7 +22,6 @@ import (
 	"regexp"
 
 	"repro/internal/benchfmt"
-	"repro/internal/ledger"
 	"repro/internal/stats"
 )
 
@@ -49,9 +36,6 @@ type config struct {
 	allocs      bool
 	ignoreShape bool
 	zeroAlloc   string
-	ledgerMode  string
-	ledgerFile  string
-	note        string
 }
 
 func run(args []string, stdout, stderr *os.File) int {
@@ -64,30 +48,11 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs.BoolVar(&cfg.allocs, "allocs", true, "flag any allocs/op increase as a regression (deterministic, no significance test)")
 	fs.BoolVar(&cfg.ignoreShape, "ignore-shape", false, "compare snapshots even when GOMAXPROCS/NumCPU differ (cross-shape numbers are not comparable)")
 	fs.StringVar(&cfg.zeroAlloc, "zeroalloc", "", "regexp of benchmarks that must report exactly 0 allocs/op in the new snapshot")
-	fs.StringVar(&cfg.ledgerMode, "ledger", "", "ledger mode: append, verify, show, or diff")
-	fs.StringVar(&cfg.ledgerFile, "ledger-file", "PERF_LEDGER.jsonl", "hash-chained ledger file")
-	fs.StringVar(&cfg.note, "note", "", "annotation stored with -ledger append")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	var err error
-	var failed bool
-	switch cfg.ledgerMode {
-	case "":
-		failed, err = diffFiles(cfg, fs.Args(), stdout)
-	case "append":
-		err = ledgerAppend(cfg, fs.Args(), stdout)
-	case "verify":
-		err = ledgerVerify(cfg, stdout)
-	case "show":
-		err = ledgerShow(cfg, stdout)
-	case "diff":
-		failed, err = ledgerDiff(cfg, stdout)
-	default:
-		fmt.Fprintf(stderr, "benchdiff: unknown -ledger mode %q (want append, verify, show, or diff)\n", cfg.ledgerMode)
-		return 2
-	}
+	failed, err := diffFiles(cfg, fs.Args(), stdout)
 	if err != nil {
 		fmt.Fprintln(stderr, "benchdiff:", err)
 		return 1
@@ -232,72 +197,4 @@ func fmtNs(ns float64) string {
 	default:
 		return fmt.Sprintf("%.4gns", ns)
 	}
-}
-
-func ledgerAppend(cfg config, paths []string, stdout *os.File) error {
-	if len(paths) != 1 {
-		return fmt.Errorf("-ledger append takes exactly one snapshot file (got %d)", len(paths))
-	}
-	snap, err := benchfmt.Load(paths[0])
-	if err != nil {
-		return err
-	}
-	e, err := ledger.Append(cfg.ledgerFile, snap, cfg.note)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "appended entry %d (%s, %d benchmark(s), %d golden(s)) hash %.12s.. to %s\n",
-		e.Index, e.Snapshot.Date, len(e.Snapshot.Benchmarks), len(e.Snapshot.Goldens), e.Hash, cfg.ledgerFile)
-	return nil
-}
-
-func ledgerVerify(cfg config, stdout *os.File) error {
-	entries, err := ledger.Load(cfg.ledgerFile)
-	if err != nil {
-		return err
-	}
-	if err := ledger.VerifyChain(entries); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "ledger OK: %d entr%s, chain verified\n", len(entries), plural(len(entries), "y", "ies"))
-	return nil
-}
-
-func ledgerShow(cfg config, stdout *os.File) error {
-	entries, err := ledger.Load(cfg.ledgerFile)
-	if err != nil {
-		return err
-	}
-	chainErr := ledger.VerifyChain(entries)
-	for _, e := range entries {
-		note := ""
-		if e.Note != "" {
-			note = "  " + e.Note
-		}
-		fmt.Fprintf(stdout, "%3d  %s  %3d bench  %3d goldens  %.12s..%s\n",
-			e.Index, e.Snapshot.Date, len(e.Snapshot.Benchmarks), len(e.Snapshot.Goldens), e.Hash, note)
-	}
-	return chainErr
-}
-
-func ledgerDiff(cfg config, stdout *os.File) (bool, error) {
-	entries, err := ledger.Load(cfg.ledgerFile)
-	if err != nil {
-		return false, err
-	}
-	if err := ledger.VerifyChain(entries); err != nil {
-		return false, err
-	}
-	old, latest, ok := ledger.LatestPair(entries)
-	if !ok {
-		return false, fmt.Errorf("-ledger diff needs at least two entries (have %d)", len(entries))
-	}
-	return diffSnapshots(cfg, old, latest, stdout)
-}
-
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
 }

@@ -51,7 +51,7 @@ func newHarness(name string) *harness {
 	h.fs.BoolVar(&h.stepLat, "steplat", false, "record the per-step latency histogram even without a deadline")
 	h.fs.StringVar(&h.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
 	h.fs.StringVar(&h.memprofile, "memprofile", "", "write a heap profile to this file at exit")
-	h.fs.StringVar(&h.httpdebug, "httpdebug", "", "serve net/http/pprof, Prometheus /metrics, and the perf-ledger /ledger view on this address (e.g. localhost:6060) while running")
+	h.fs.StringVar(&h.httpdebug, "httpdebug", "", "serve net/http/pprof and Prometheus /metrics on this address (e.g. localhost:6060) while running")
 	return h
 }
 
@@ -84,7 +84,7 @@ func (h *harness) parse(args []string) error {
 			return err
 		}
 		h.dbg = dbg
-		fmt.Fprintf(os.Stderr, "debug server on %s (/metrics, /ledger, /debug/pprof/)\n", dbg.URL)
+		fmt.Fprintf(os.Stderr, "debug server on %s (/metrics, /debug/pprof/)\n", dbg.URL)
 	}
 	if h.timeout > 0 {
 		h.runCtx, h.cancel = context.WithTimeout(context.Background(), h.timeout)

@@ -180,10 +180,11 @@ var runners = map[string]runner{
 			return err
 		}
 		return h.report(p, map[string]interface{}{
-			"position_error_m": res.PositionError,
-			"heading_error":    res.HeadingError,
-			"raycasts":         res.Raycasts,
-			"cells_visited":    res.CellsVisited,
+			"position_error_m":  res.PositionError,
+			"heading_error_rad": res.HeadingError,
+			"raycasts":          res.Raycasts,
+			"cells_visited":     res.CellsVisited,
+			"ess":               res.EffectiveSampleSize,
 		})
 	},
 
@@ -211,6 +212,8 @@ var runners = map[string]runner{
 			"landmark_error_m": res.MeanLandmarkError,
 			"landmarks_seen":   res.LandmarksSeen,
 			"updates":          res.Updates,
+			"rejected":         res.Rejected,
+			"uncertainty":      res.Uncertainty,
 		})
 	},
 
@@ -236,10 +239,11 @@ var runners = map[string]runner{
 		}
 		return h.report(p, map[string]interface{}{
 			"rmse_m":        res.RMSE,
-			"rot_error":     res.RotationError,
+			"rot_error_rad": res.RotationError,
 			"trans_error_m": res.TranslationError,
 			"iterations":    res.Iterations,
-			"points":        res.SourcePoints,
+			"nn_queries":    res.NNQueries,
+			"source_points": res.SourcePoints,
 		})
 	},
 
@@ -281,6 +285,7 @@ var runners = map[string]runner{
 			"expanded":         res.Expanded,
 			"collision_checks": res.Checks,
 			"cells_touched":    res.Cells,
+			"anytime_rounds":   len(res.Anytime),
 		})
 	},
 
@@ -328,10 +333,11 @@ var runners = map[string]runner{
 			return err
 		}
 		return h.report(p, map[string]interface{}{
-			"found":      res.Found,
-			"catch_time": res.CatchTime,
-			"path_cost":  res.PathCost,
-			"expanded":   res.Expanded,
+			"found":           res.Found,
+			"catch_time":      res.CatchTime,
+			"path_cost":       res.PathCost,
+			"expanded":        res.Expanded,
+			"heuristic_cells": res.HeuristicCells,
 		})
 	},
 
@@ -359,7 +365,9 @@ var runners = map[string]runner{
 			"path_cost_rad": res.PathCost,
 			"roadmap_nodes": res.RoadmapNodes,
 			"roadmap_edges": res.RoadmapEdges,
+			"expanded":      res.Expanded,
 			"l2_norms":      res.L2Norms,
+			"seg_checks":    res.SegChecks,
 		})
 	},
 
@@ -484,6 +492,7 @@ var runners = map[string]runner{
 			"best_reward": res.BestReward,
 			"evals":       res.Evals,
 			"gp_fits":     res.GPFits,
+			"predictions": res.Predictions,
 		})
 	},
 }
@@ -557,6 +566,9 @@ func rrtRunner(name string, run func(context.Context, rrt.Config, *profile.Profi
 			"path_cost_rad": res.PathCost,
 			"samples":       res.Samples,
 			"tree_nodes":    res.TreeNodes,
+			"nn_queries":    res.NNQueries,
+			"dist_calls":    res.DistCalls,
+			"seg_checks":    res.SegChecks,
 			"rewires":       res.Rewires,
 			"shortcuts":     res.Shortcuts,
 		})
@@ -573,6 +585,7 @@ func runSym(h *harness, cfg sym.Config) error {
 		"found":          res.Found,
 		"plan_length":    res.PlanLength,
 		"expanded":       res.Stats.Expanded,
+		"generated":      res.Stats.Generated,
 		"avg_branching":  res.Stats.AvgBranching(),
 		"string_bytes":   res.Stats.StringBytes,
 		"ground_actions": res.GroundActions,

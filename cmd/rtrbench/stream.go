@@ -38,8 +38,17 @@ func runStream(args []string) error {
 		return err
 	}
 
+	sz, err := parseSize(*size)
+	if err != nil {
+		return err
+	}
+	pol, err := rtrbench.ParseStreamPolicy(*policy)
+	if err != nil {
+		return err
+	}
 	opts := rtrbench.StreamOptions{
 		Options: rtrbench.Options{
+			Size:    sz,
 			Seed:    *seed,
 			Workers: *workers,
 		},
@@ -48,20 +57,8 @@ func runStream(args []string) error {
 		Deadline: *deadline,
 		Duration: *duration,
 		MaxTicks: *maxTicks,
+		Policy:   pol,
 	}
-	switch *size {
-	case "small":
-		opts.Size = rtrbench.SizeSmall
-	case "default":
-		opts.Size = rtrbench.SizeDefault
-	default:
-		return fmt.Errorf("unknown --size %q (want small or default)", *size)
-	}
-	p, err := parseStreamPolicy(*policy)
-	if err != nil {
-		return err
-	}
-	opts.Policy = p
 
 	if *httpdebug != "" {
 		dbg, err := obs.StartDebugServer(obs.DebugOptions{Addr: *httpdebug})
@@ -115,12 +112,6 @@ func runStream(args []string) error {
 		return fmt.Errorf("unknown --format %q (want text, json, or csv)", *format)
 	}
 	return nil
-}
-
-// parseStreamPolicy wraps stream policy parsing behind the rtrbench API so
-// this file stays off internal/stream directly.
-func parseStreamPolicy(s string) (rtrbench.StreamPolicy, error) {
-	return rtrbench.ParseStreamPolicy(s)
 }
 
 // streamText prints the human-readable streaming summary.

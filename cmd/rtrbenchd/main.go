@@ -15,7 +15,6 @@
 //	GET  /readyz             readiness probe (503 while replaying the WAL
 //	                         or draining)
 //	GET  /metrics            queue/batch/cache gauges + suite counters
-//	GET  /ledger             hash-chained perf history
 //	GET  /debug/pprof/       live profiling
 //
 // A job body with a "stream" block runs in streaming mode instead of a
@@ -49,7 +48,6 @@ import (
 	"time"
 
 	"repro/internal/durable"
-	"repro/internal/obs"
 )
 
 func main() {
@@ -64,7 +62,6 @@ func main() {
 		parallel = fs.Int("parallel", runtime.NumCPU(), "kernels running concurrently within one job")
 		cache    = fs.Int("cache", 256, "result-store entries kept (content-addressed, FIFO eviction)")
 		drainFor = fs.Duration("drain-timeout", 2*time.Minute, "how long shutdown waits for in-flight jobs")
-		ledger   = fs.String("ledger", obs.DefaultLedgerPath, "perf-ledger file backing /ledger")
 
 		dataDir    = fs.String("data", "", "directory for the result-store write-ahead log (empty: in-memory only)")
 		fsyncMode  = fs.String("fsync", "interval", "WAL fsync policy: always, interval, or never")
@@ -83,6 +80,8 @@ func main() {
 		jobTTL      = fs.Duration("job-ttl", 15*time.Minute, "how long finished jobs stay pollable by ID")
 		jobIndexMax = fs.Int("job-index-max", 1024, "most job records kept in the poll index")
 	)
+	// Accepted and ignored: existing start scripts still pass -ledger.
+	fs.String("ledger", "", "ignored; accepted so existing start scripts still parse")
 	_ = fs.Parse(os.Args[1:])
 
 	log.SetPrefix("rtrbenchd: ")
@@ -101,7 +100,6 @@ func main() {
 		workers:      *workers,
 		parallel:     *parallel,
 		cacheEntries: *cache,
-		ledgerPath:   *ledger,
 
 		dataDir:       *dataDir,
 		fsync:         fsyncPolicy,

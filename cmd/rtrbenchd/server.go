@@ -34,7 +34,6 @@ type config struct {
 	workers      int
 	parallel     int
 	cacheEntries int
-	ledgerPath   string
 
 	// Durability: dataDir == "" keeps the result store in-memory; otherwise
 	// it is backed by a write-ahead log under dataDir, replayed on startup.
@@ -134,8 +133,8 @@ func (rec *jobRecord) terminalDigest() string {
 
 // server is the rtrbenchd service: HTTP admission on top of the batching
 // job queue, the shared rtrbench engine, and the content-addressed result
-// store, all mounted on the obs debug server so /metrics, /ledger, and
-// pprof come along for free.
+// store, all mounted on the obs debug server so /metrics and pprof come
+// along for free.
 type server struct {
 	cfg    config
 	reg    *obs.Registry
@@ -223,9 +222,8 @@ func newServer(cfg config) (*server, error) {
 	}, s.execBatch)
 
 	dbg, err := obs.StartDebugServer(obs.DebugOptions{
-		Addr:       cfg.addr,
-		Registry:   s.reg,
-		LedgerPath: cfg.ledgerPath,
+		Addr:     cfg.addr,
+		Registry: s.reg,
 		// ReadTimeout bounds slow request bodies; WriteTimeout must leave
 		// room for long ?wait= polls and is therefore generous.
 		ReadTimeout:  30 * time.Second,

@@ -22,9 +22,6 @@ import (
 func newTestServer(t *testing.T, cfg config) *server {
 	t.Helper()
 	cfg.addr = "127.0.0.1:0"
-	if cfg.ledgerPath == "" {
-		cfg.ledgerPath = t.TempDir() + "/ledger.jsonl" // missing file: empty chain
-	}
 	s, err := newServer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -402,8 +399,7 @@ func TestKillRestartCacheSurvives(t *testing.T) {
 	base := config{
 		batchSize: 1, maxWait: time.Millisecond, capacity: 8, workers: 1,
 		parallel: 2, cacheEntries: 8, dataDir: dataDir,
-		ledgerPath: t.TempDir() + "/ledger.jsonl",
-		addr:       "127.0.0.1:0",
+		addr: "127.0.0.1:0",
 	}
 	s1, err := newServer(base)
 	if err != nil {

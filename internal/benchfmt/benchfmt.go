@@ -7,8 +7,8 @@
 // sample that cannot support a statistical comparison. v2 keeps every
 // repeated `-count` run as a sample, and adds the golden-digest set from
 // `rtrbench verify` so a perf snapshot is pinned to a verified-correct
-// build. cmd/benchjson produces snapshots, cmd/benchdiff compares them,
-// internal/ledger chains them, and internal/obs serves the deltas.
+// build. cmd/benchjson produces snapshots and cmd/benchdiff compares
+// them.
 package benchfmt
 
 import (
@@ -155,7 +155,7 @@ type v1Benchmark struct {
 
 // Decode parses a snapshot document, accepting both schemas: a v1 file is
 // converted in place, each flat benchmark becoming a single-sample entry,
-// so pre-ledger snapshots (e.g. the checked-in BENCH_2026-08-05.json)
+// so v1 snapshots (e.g. the checked-in BENCH_2026-08-05.json)
 // remain comparable. Single-sample entries can never reach statistical
 // significance on their own — stats.Compare guarantees that — so a v1
 // baseline is informative but cannot flag.

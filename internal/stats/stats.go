@@ -1,5 +1,6 @@
-// Package stats is the statistical substrate of the perf ledger: it decides
-// whether two sets of repeated benchmark samples differ by more than noise.
+// Package stats is the statistical substrate of benchdiff's snapshot
+// comparison: it decides whether two sets of repeated benchmark samples
+// differ by more than noise.
 //
 // The suite's perf claims rest on latency measurements, and a single
 // `go test -bench` run is an n=1 sample of a noisy distribution (scheduler

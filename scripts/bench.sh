@@ -7,8 +7,7 @@
 # SHA-256 of every checked-in golden digest). Repeated samples are what
 # make two snapshots statistically comparable: `benchdiff old.json
 # new.json` runs a Mann-Whitney U test per benchmark instead of diffing
-# two n=1 numbers, and `benchdiff -ledger append` chains the snapshot into
-# the tamper-evident PERF_LEDGER.jsonl history.
+# two n=1 numbers.
 #
 # Usage: scripts/bench.sh  (or: make bench)
 #   BENCH_DATE=2026-08-05   override the date stamp / output name
@@ -46,4 +45,3 @@ go test -run '^$' -bench '^BenchmarkPFLStep$' -benchtime 100x -count "$bench_cou
 go run ./cmd/benchjson -date "$date_tag" -goldens rtrbench/testdata/golden -out "$out" <"$tmp"
 echo "wrote $out"
 echo "compare:  go run ./cmd/benchdiff BENCH_<old>.json $out"
-echo "chain:    go run ./cmd/benchdiff -ledger append $out   (after rtrbench verify)"

@@ -232,7 +232,7 @@ go test -run FuzzIndoorMap -fuzz FuzzIndoorMap -fuzztime 5s ./internal/maps
 go test -race -run FuzzKDTreeNearest -fuzz FuzzKDTreeNearest -fuzztime 5s ./internal/kdtree
 go test -run FuzzHistogram -fuzz FuzzHistogram -fuzztime 5s ./internal/obs
 
-echo "== benchdiff gate (interleaved A/A statistics + zero-alloc + ledger chain)"
+echo "== benchdiff gate (interleaved A/A statistics + zero-alloc)"
 # The single perf regression gate. One -count 10 run of the hottest step
 # benchmarks is split sample-by-sample into two interleaved
 # rtrbench.bench/v2 half-snapshots (benchjson -split) — an A/A comparison
@@ -243,16 +243,11 @@ echo "== benchdiff gate (interleaved A/A statistics + zero-alloc + ledger chain)
 # pure noise. The same invocation folds in the old alloc gate: -zeroalloc
 # pins the steady-state step benchmarks to exactly 0 allocs/op (the
 # benchmarks also assert this themselves via b.Fatalf), and any allocs/op
-# growth between the halves is a deterministic regression. Finally the
-# two snapshots are chained into a throwaway ledger and the hash chain
-# verified, exercising the append/verify path end to end.
+# growth between the halves is a deterministic regression.
 {
     go test -run '^$' -bench '^BenchmarkEKFSLAMStep$' -benchtime 10x -count 10 -benchmem ./internal/core/ekfslam
     go test -run '^$' -bench '^BenchmarkPFLStep$' -benchtime 10x -count 10 -benchmem ./internal/core/pfl
 } | go run ./cmd/benchjson -date ci -goldens rtrbench/testdata/golden -split "$benchtmp/a.json,$benchtmp/b.json"
 go run ./cmd/benchdiff -threshold 10 -zeroalloc 'Step$' "$benchtmp/a.json" "$benchtmp/b.json"
-go run ./cmd/benchdiff -ledger append -ledger-file "$benchtmp/ledger.jsonl" -note "ci A" "$benchtmp/a.json"
-go run ./cmd/benchdiff -ledger append -ledger-file "$benchtmp/ledger.jsonl" -note "ci B" "$benchtmp/b.json"
-go run ./cmd/benchdiff -ledger verify -ledger-file "$benchtmp/ledger.jsonl"
 
 echo "CI OK"
