@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -38,15 +39,17 @@ func runStream(args []string) error {
 		return err
 	}
 
+	// Flag mistakes fail here, before the kernel starts.
+	switch *format {
+	case "text", "json", "csv":
+	default:
+		return fmt.Errorf("unknown --format %q (want text, json, or csv)", *format)
+	}
 	sz, err := parseSize(*size)
 	if err != nil {
 		return err
 	}
-	pol, err := rtrbench.ParseStreamPolicy(*policy)
-	if err != nil {
-		return err
-	}
-	opts := rtrbench.StreamOptions{
+	opts, err := rtrbench.StreamOptions{
 		Options: rtrbench.Options{
 			Size:    sz,
 			Seed:    *seed,
@@ -57,7 +60,13 @@ func runStream(args []string) error {
 		Deadline: *deadline,
 		Duration: *duration,
 		MaxTicks: *maxTicks,
-		Policy:   pol,
+		Policy:   rtrbench.StreamPolicy(*policy),
+	}.Normalize()
+	if err != nil {
+		return unprefixed(err)
+	}
+	if _, ok := rtrbench.Lookup(opts.Kernel); !ok {
+		return fmt.Errorf("unknown kernel %q", opts.Kernel)
 	}
 
 	if *httpdebug != "" {
@@ -70,12 +79,6 @@ func runStream(args []string) error {
 		opts.Live = obs.LiveCounters
 	}
 
-	// Normalize up front so flag mistakes fail before the kernel starts.
-	opts, err = opts.Normalize()
-	if err != nil {
-		return err
-	}
-
 	// Ctrl-C ends the stream early; the partial accounting still reports.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -83,7 +86,7 @@ func runStream(args []string) error {
 	res, runErr := rtrbench.Stream(ctx, opts)
 	cancelled := runErr != nil && (errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded))
 	if runErr != nil && !cancelled {
-		return runErr
+		return unprefixed(runErr)
 	}
 
 	w := io.Writer(os.Stdout)
@@ -106,12 +109,16 @@ func runStream(args []string) error {
 		if err := obs.WriteCSV(w, kr); err != nil {
 			return err
 		}
-	case "text":
-		streamText(w, res, cancelled)
 	default:
-		return fmt.Errorf("unknown --format %q (want text, json, or csv)", *format)
+		streamText(w, res, cancelled)
 	}
 	return nil
+}
+
+// unprefixed drops the "stream: " that the library puts before its errors:
+// main already prints "rtrbench stream: " before them.
+func unprefixed(err error) error {
+	return errors.New(strings.TrimPrefix(err.Error(), "stream: "))
 }
 
 // streamText prints the human-readable streaming summary.

@@ -24,7 +24,11 @@ type WallClock struct{}
 // Now returns time.Now().
 func (WallClock) Now() time.Time { return time.Now() }
 
-// Sleep waits for d or for ctx cancellation, whichever comes first.
+// Sleep waits for d or for ctx cancellation, whichever comes first. A
+// runtime timer covers all but the last preciseWindow of the wait, and
+// sleepUntil sleeps the rest (on Linux, in the kernel's high-resolution
+// timer). ctx ends the timer phase at once; sleepUntil runs to the wake
+// time, so a cancellation is seen at most preciseWindow late.
 func (WallClock) Sleep(ctx context.Context, d time.Duration) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -32,14 +36,18 @@ func (WallClock) Sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return nil
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
+	wake := time.Now().Add(d)
+	if d > preciseWindow {
+		t := time.NewTimer(d - preciseWindow)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
+	sleepUntil(wake)
+	return ctx.Err()
 }
 
 // VirtualClock is a deterministic manual clock: Sleep advances simulated

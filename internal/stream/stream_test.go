@@ -322,3 +322,17 @@ func TestWallClockSleepHonorsContext(t *testing.T) {
 		t.Fatalf("negative Sleep = %v, want nil", err)
 	}
 }
+
+// TestWallClockSleepCancelledMidSleep cancels a sleep that is under way: ctx
+// must end it long before its own end, in the runtime-timer phase.
+func TestWallClockSleepCancelledMidSleep(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	timer := time.AfterFunc(5*time.Millisecond, cancel)
+	defer timer.Stop()
+	start := time.Now()
+	err := (WallClock{}).Sleep(ctx, time.Second)
+	if took := time.Since(start); !errors.Is(err, context.Canceled) || took > 100*time.Millisecond {
+		t.Fatalf("Sleep(1s) cancelled after 5ms returned %v after %v, want context.Canceled within 100ms", err, took)
+	}
+}
