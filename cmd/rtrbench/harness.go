@@ -9,18 +9,20 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/profile"
+	"repro/internal/report"
 	"repro/rtrbench"
 )
 
 // harness carries the observability machinery shared by every kernel
 // runner: report formats (text/json/csv/trace), per-step deadlines, and
 // profiling hooks (--cpuprofile, --memprofile, --httpdebug). Runners
-// register their kernel flags on h.fs, call h.parse, run the kernel with
-// h.newProfile(), and hand the profile back through h.report.
+// register their kernel flags on h.fs, call h.parse, build the kernel's
+// config from them, and end with h.run(cfg).
 type harness struct {
 	name string
 	fs   *flag.FlagSet
@@ -36,7 +38,7 @@ type harness struct {
 
 	cpuFile *os.File
 	dbg     *obs.DebugServer
-	runCtx  context.Context
+	runCtx  context.Context // Background, or bounded by --timeout
 	cancel  context.CancelFunc
 }
 
@@ -94,12 +96,6 @@ func (h *harness) parse(args []string) error {
 	return nil
 }
 
-// ctx returns the run context: Background, or deadline-bounded when
-// --timeout is set. Valid after h.parse.
-func (h *harness) ctx() context.Context {
-	return h.runCtx
-}
-
 // newProfile returns the kernel's profile, configured from the shared
 // flags: deadline/step tracking, trace recording when --format=trace, and
 // live counter export when the debug server is up.
@@ -147,29 +143,35 @@ func (h *harness) close() {
 	}
 }
 
-// report renders the run in the selected format. metrics values may be
-// bool, integer, or float; non-text formats coerce them to float64 per the
-// rtrbench.report/v1 schema.
-func (h *harness) report(p *profile.Profile, metrics map[string]interface{}) error {
-	rep := p.Snapshot()
+// run executes the kernel on cfg, a config of the kernel's own type,
+// through the registry (validation, panic recovery and result translation
+// as in `rtrbench suite`) and writes the report in the selected format.
+func (h *harness) run(cfg any) error {
+	p := h.newProfile()
+	res, err := rtrbench.RunConfig(h.runCtx, h.name, cfg, p)
+	if err != nil {
+		return err
+	}
 	w, closeW, err := h.writer()
 	if err != nil {
 		return err
 	}
 	defer closeW()
 
+	info, _ := rtrbench.Lookup(h.name)
+	row := report.Kernel(rtrbench.KernelResult{Info: info, Result: res})
 	switch h.format {
 	case "json":
-		return obs.WriteJSON(w, h.kernelReport(rep, metrics))
+		return obs.WriteJSON(w, row)
 	case "csv":
-		return obs.WriteCSV(w, h.kernelReport(rep, metrics))
+		return obs.WriteCSV(w, row)
 	case "trace":
-		return obs.WriteTrace(w, rep.Trace, map[string]string{
+		return obs.WriteTrace(w, p.Snapshot().Trace, map[string]string{
 			"kernel": h.name,
 			"schema": obs.SchemaVersion,
 		})
 	}
-	reportText(w, rep, metrics)
+	reportText(w, p.Snapshot(), res.Metrics)
 	return nil
 }
 
@@ -185,58 +187,9 @@ func (h *harness) writer() (io.Writer, func(), error) {
 	return f, func() { f.Close() }, nil
 }
 
-// kernelReport assembles the rtrbench.report/v1 row of a single run; suite
-// sweeps and rtrbenchd convert their results through internal/report.
-func (h *harness) kernelReport(rep profile.Report, metrics map[string]interface{}) obs.KernelReport {
-	kr := obs.KernelReport{
-		Kernel:       h.name,
-		ROISeconds:   rep.ROI.Seconds(),
-		Dominant:     rep.Dominant(),
-		Inconsistent: rep.Inconsistent,
-		Counters:     rep.Counters,
-		Metrics:      map[string]float64{},
-		Steps:        obs.StepsFromSummary(rep.Steps),
-	}
-	if info, ok := rtrbench.Lookup(h.name); ok {
-		kr.Stage = string(info.Stage)
-		kr.Index = info.Index
-	}
-	for _, ph := range rep.Phases {
-		kr.Phases = append(kr.Phases, obs.PhaseReport{
-			Name:     ph.Name,
-			Seconds:  ph.Total.Seconds(),
-			Calls:    ph.Calls,
-			Fraction: rep.Fraction(ph.Name),
-		})
-	}
-	for k, v := range metrics {
-		kr.Metrics[k] = metricValue(v)
-	}
-	return kr
-}
-
-// metricValue coerces a runner metric onto the schema's float64 domain.
-func metricValue(v interface{}) float64 {
-	switch x := v.(type) {
-	case bool:
-		if x {
-			return 1
-		}
-		return 0
-	case int:
-		return float64(x)
-	case int64:
-		return float64(x)
-	case float64:
-		return x
-	default:
-		return 0
-	}
-}
-
 // reportText prints the human-readable report: ROI, phase table, step
 // latency distribution, and kernel metrics.
-func reportText(w io.Writer, rep profile.Report, metrics map[string]interface{}) {
+func reportText(w io.Writer, rep profile.Report, metrics map[string]float64) {
 	fmt.Fprintf(w, "ROI: %v\n", rep.ROI.Round(time.Microsecond))
 	if rep.Inconsistent {
 		fmt.Fprintf(w, "  WARNING: inconsistent profile (open phases: %v)\n", rep.OpenPhases)
@@ -266,6 +219,6 @@ func reportText(w io.Writer, rep profile.Report, metrics map[string]interface{})
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Fprintf(w, "  %-22s %v\n", k, metrics[k])
+		fmt.Fprintf(w, "  %-22s %s\n", k, strconv.FormatFloat(metrics[k], 'f', -1, 64))
 	}
 }

@@ -39,7 +39,7 @@
 package main
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"os"
 	"time"
@@ -59,7 +59,6 @@ import (
 	"repro/internal/core/srec"
 	"repro/internal/core/sym"
 	"repro/internal/grid"
-	"repro/internal/profile"
 	"repro/internal/search"
 	"repro/rtrbench"
 )
@@ -174,18 +173,7 @@ var runners = map[string]runner{
 			g.Resolution = 0.25
 			cfg.Map = g
 		}
-		p := h.newProfile()
-		res, err := pfl.Run(h.ctx(), cfg, p)
-		if err != nil {
-			return err
-		}
-		return h.report(p, map[string]interface{}{
-			"position_error_m":  res.PositionError,
-			"heading_error_rad": res.HeadingError,
-			"raycasts":          res.Raycasts,
-			"cells_visited":     res.CellsVisited,
-			"ess":               res.EffectiveSampleSize,
-		})
+		return h.run(cfg)
 	},
 
 	"ekfslam": func(args []string) error {
@@ -202,19 +190,7 @@ var runners = map[string]runner{
 			return err
 		}
 		defer h.close()
-		p := h.newProfile()
-		res, err := ekfslam.Run(h.ctx(), cfg, p)
-		if err != nil {
-			return err
-		}
-		return h.report(p, map[string]interface{}{
-			"pose_error_m":     res.PoseError,
-			"landmark_error_m": res.MeanLandmarkError,
-			"landmarks_seen":   res.LandmarksSeen,
-			"updates":          res.Updates,
-			"rejected":         res.Rejected,
-			"uncertainty":      res.Uncertainty,
-		})
+		return h.run(cfg)
 	},
 
 	"srec": func(args []string) error {
@@ -232,19 +208,7 @@ var runners = map[string]runner{
 		}
 		defer h.close()
 		cfg.Method = srec.Method(*method)
-		p := h.newProfile()
-		res, err := srec.Run(h.ctx(), cfg, p)
-		if err != nil {
-			return err
-		}
-		return h.report(p, map[string]interface{}{
-			"rmse_m":        res.RMSE,
-			"rot_error_rad": res.RotationError,
-			"trans_error_m": res.TranslationError,
-			"iterations":    res.Iterations,
-			"nn_queries":    res.NNQueries,
-			"source_points": res.SourcePoints,
-		})
+		return h.run(cfg)
 	},
 
 	"pp2d": func(args []string) error {
@@ -261,6 +225,9 @@ var runners = map[string]runner{
 			return err
 		}
 		defer h.close()
+		if *scenPath != "" && *mapPath == "" {
+			return errors.New("--scen requires --map")
+		}
 		if *mapPath != "" {
 			g, err := loadMap2D(*mapPath)
 			if err != nil {
@@ -274,19 +241,7 @@ var runners = map[string]runner{
 		if *scenPath != "" {
 			return runScenBatch(cfg.Map, *scenPath)
 		}
-		p := h.newProfile()
-		res, err := pp2d.Run(h.ctx(), cfg, p)
-		if err != nil {
-			return err
-		}
-		return h.report(p, map[string]interface{}{
-			"found":            res.Found,
-			"path_length_m":    res.PathLength,
-			"expanded":         res.Expanded,
-			"collision_checks": res.Checks,
-			"cells_touched":    res.Cells,
-			"anytime_rounds":   len(res.Anytime),
-		})
+		return h.run(cfg)
 	},
 
 	"pp3d": func(args []string) error {
@@ -303,17 +258,7 @@ var runners = map[string]runner{
 		}
 		defer h.close()
 		cfg.Map = pp3d.DefaultMap(*w, *hgt, *d, cfg.Seed)
-		p := h.newProfile()
-		res, err := pp3d.Run(h.ctx(), cfg, p)
-		if err != nil {
-			return err
-		}
-		return h.report(p, map[string]interface{}{
-			"found":            res.Found,
-			"path_length":      res.PathLength,
-			"expanded":         res.Expanded,
-			"collision_checks": res.Checks,
-		})
+		return h.run(cfg)
 	},
 
 	"movtar": func(args []string) error {
@@ -327,18 +272,7 @@ var runners = map[string]runner{
 			return err
 		}
 		defer h.close()
-		p := h.newProfile()
-		res, err := movtar.Run(h.ctx(), cfg, p)
-		if err != nil {
-			return err
-		}
-		return h.report(p, map[string]interface{}{
-			"found":           res.Found,
-			"catch_time":      res.CatchTime,
-			"path_cost":       res.PathCost,
-			"expanded":        res.Expanded,
-			"heuristic_cells": res.HeuristicCells,
-		})
+		return h.run(cfg)
 	},
 
 	"prm": func(args []string) error {
@@ -355,25 +289,12 @@ var runners = map[string]runner{
 		}
 		defer h.close()
 		cfg.Workspace = armWorkspace(*mapName)
-		p := h.newProfile()
-		res, err := prm.Run(h.ctx(), cfg, p)
-		if err != nil {
-			return err
-		}
-		return h.report(p, map[string]interface{}{
-			"found":         res.Found,
-			"path_cost_rad": res.PathCost,
-			"roadmap_nodes": res.RoadmapNodes,
-			"roadmap_edges": res.RoadmapEdges,
-			"expanded":      res.Expanded,
-			"l2_norms":      res.L2Norms,
-			"seg_checks":    res.SegChecks,
-		})
+		return h.run(cfg)
 	},
 
-	"rrt":     rrtRunner("rrt", rrt.Run),
-	"rrtstar": rrtRunner("rrtstar", rrt.RunStar),
-	"rrtpp":   rrtRunner("rrtpp", rrt.RunPP),
+	"rrt":     rrtRunner("rrt"),
+	"rrtstar": rrtRunner("rrtstar"),
+	"rrtpp":   rrtRunner("rrtpp"),
 
 	"sym-blkw": func(args []string) error {
 		h := newHarness("sym-blkw")
@@ -385,7 +306,7 @@ var runners = map[string]runner{
 			return err
 		}
 		defer h.close()
-		return runSym(h, cfg)
+		return h.run(cfg)
 	},
 
 	"sym-fext": func(args []string) error {
@@ -399,7 +320,7 @@ var runners = map[string]runner{
 			return err
 		}
 		defer h.close()
-		return runSym(h, cfg)
+		return h.run(cfg)
 	},
 
 	"dmp": func(args []string) error {
@@ -413,16 +334,7 @@ var runners = map[string]runner{
 			return err
 		}
 		defer h.close()
-		p := h.newProfile()
-		res, err := dmp.Run(h.ctx(), cfg, p)
-		if err != nil {
-			return err
-		}
-		return h.report(p, map[string]interface{}{
-			"track_rmse_m":     res.TrackRMSE,
-			"endpoint_error_m": res.EndpointError,
-			"serial_steps":     res.SerialSteps,
-		})
+		return h.run(cfg)
 	},
 
 	"mpc": func(args []string) error {
@@ -437,17 +349,7 @@ var runners = map[string]runner{
 			return err
 		}
 		defer h.close()
-		p := h.newProfile()
-		res, err := mpc.Run(h.ctx(), cfg, p)
-		if err != nil {
-			return err
-		}
-		return h.report(p, map[string]interface{}{
-			"track_rmse_m":    res.TrackRMSE,
-			"max_deviation_m": res.MaxDeviation,
-			"vel_violations":  res.VelViolations,
-			"rollouts":        res.Rollouts,
-		})
+		return h.run(cfg)
 	},
 
 	"cem": func(args []string) error {
@@ -461,15 +363,7 @@ var runners = map[string]runner{
 			return err
 		}
 		defer h.close()
-		p := h.newProfile()
-		res, err := cem.Run(h.ctx(), cfg, p)
-		if err != nil {
-			return err
-		}
-		return h.report(p, map[string]interface{}{
-			"best_reward": res.BestReward,
-			"evals":       res.Evals,
-		})
+		return h.run(cfg)
 	},
 
 	"bo": func(args []string) error {
@@ -483,17 +377,7 @@ var runners = map[string]runner{
 			return err
 		}
 		defer h.close()
-		p := h.newProfile()
-		res, err := bo.Run(h.ctx(), cfg, p)
-		if err != nil {
-			return err
-		}
-		return h.report(p, map[string]interface{}{
-			"best_reward": res.BestReward,
-			"evals":       res.Evals,
-			"gp_fits":     res.GPFits,
-			"predictions": res.Predictions,
-		})
+		return h.run(cfg)
 	},
 }
 
@@ -510,6 +394,11 @@ func runScenBatch(g *grid.Grid2D, path string) error {
 	scens, err := grid.ParseScen(f)
 	if err != nil {
 		return err
+	}
+	for i, s := range scens {
+		if s.MapW != g.W || s.MapH != g.H {
+			return fmt.Errorf("scen %d is for a %dx%d map, --map is %dx%d", i, s.MapW, s.MapH, g.W, g.H)
+		}
 	}
 	sp := &search.Grid2DSpace{G: g}
 	solved, matched := 0, 0
@@ -539,7 +428,7 @@ func runScenBatch(g *grid.Grid2D, path string) error {
 	return nil
 }
 
-func rrtRunner(name string, run func(context.Context, rrt.Config, *profile.Profile) (rrt.Result, error)) runner {
+func rrtRunner(name string) runner {
 	return func(args []string) error {
 		h := newHarness(name)
 		cfg := rrt.DefaultConfig()
@@ -556,46 +445,6 @@ func rrtRunner(name string, run func(context.Context, rrt.Config, *profile.Profi
 		}
 		defer h.close()
 		cfg.Workspace = armWorkspace(*mapName)
-		p := h.newProfile()
-		res, err := run(h.ctx(), cfg, p)
-		if err != nil {
-			return err
-		}
-		return h.report(p, map[string]interface{}{
-			"found":         res.Found,
-			"path_cost_rad": res.PathCost,
-			"samples":       res.Samples,
-			"tree_nodes":    res.TreeNodes,
-			"nn_queries":    res.NNQueries,
-			"dist_calls":    res.DistCalls,
-			"seg_checks":    res.SegChecks,
-			"rewires":       res.Rewires,
-			"shortcuts":     res.Shortcuts,
-		})
+		return h.run(cfg)
 	}
-}
-
-func runSym(h *harness, cfg sym.Config) error {
-	p := h.newProfile()
-	res, err := sym.Run(h.ctx(), cfg, p)
-	if err != nil {
-		return err
-	}
-	if err := h.report(p, map[string]interface{}{
-		"found":          res.Found,
-		"plan_length":    res.PlanLength,
-		"expanded":       res.Stats.Expanded,
-		"generated":      res.Stats.Generated,
-		"avg_branching":  res.Stats.AvgBranching(),
-		"string_bytes":   res.Stats.StringBytes,
-		"ground_actions": res.GroundActions,
-	}); err != nil {
-		return err
-	}
-	if h.format == "text" && h.out == "" {
-		for i, step := range res.Plan {
-			fmt.Printf("  %2d. %s\n", i+1, step)
-		}
-	}
-	return nil
 }

@@ -2,13 +2,18 @@ package main
 
 import (
 	"encoding/json"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/grid"
 	"repro/internal/obs"
+	"repro/internal/report"
 	"repro/rtrbench"
 )
 
@@ -44,7 +49,8 @@ func metricNames(metrics map[string]float64, nonfinite []string) string {
 
 // TestKernelCLIMetricNamesMatchRegistry pins `rtrbench <kernel>` to the
 // metric names of the same kernel's registry row, which `rtrbench suite`
-// and rtrbenchd report.
+// and rtrbenchd report, and to the registry's Table I fields: the row's
+// paper bottlenecks and its verdict on its own dominant phase.
 func TestKernelCLIMetricNamesMatchRegistry(t *testing.T) {
 	kernels := rtrbench.Kernels()
 	if len(kernels) != len(runners) {
@@ -81,6 +87,63 @@ func TestKernelCLIMetricNamesMatchRegistry(t *testing.T) {
 			if got != want {
 				t.Errorf("CLI metrics\n  %s\nregistry metrics\n  %s", got, want)
 			}
+			if !slices.Equal(cli.PaperBottlenecks, k.PaperBottlenecks) {
+				t.Errorf("CLI paper_bottlenecks %q, registry %q", cli.PaperBottlenecks, k.PaperBottlenecks)
+			}
+			if want := report.MatchesPaper(k, cli.Dominant); cli.MatchesPaper != want {
+				t.Errorf("CLI matches_paper %v for dominant %q, want %v", cli.MatchesPaper, cli.Dominant, want)
+			}
 		})
+	}
+}
+
+// TestScenChecksItsInputs: `pp2d --scen` needs the map its scenarios were
+// written for. Without --map, or against a map of another size, it fails
+// instead of reporting unsolved problems.
+func TestScenChecksItsInputs(t *testing.T) {
+	dir := t.TempDir()
+	mapPath := filepath.Join(dir, "open.map")
+	writeFile(t, mapPath, func(w io.Writer) error { return grid.WriteMovingAI(w, grid.NewGrid2D(8, 8)) })
+	scen := func(name string, w, h int) string {
+		path := filepath.Join(dir, name)
+		writeFile(t, path, func(wr io.Writer) error {
+			return grid.WriteScen(wr, []grid.Scenario{{
+				MapName: "open.map", MapW: w, MapH: h,
+				StartX: 0, StartY: 0, GoalX: 7, GoalY: 7, OptimalLength: 7 * math.Sqrt2,
+			}})
+		})
+		return path
+	}
+	match, other := scen("match.scen", 8, 8), scen("other.scen", 16, 16)
+
+	for _, tc := range []struct {
+		args []string
+		want string // error substring; "" = success
+	}{
+		{[]string{"--scen", match}, "--scen requires --map"},
+		{[]string{"--scen", other, "--map", mapPath}, "scen 0 is for a 16x16 map, --map is 8x8"},
+		{[]string{"--scen", match, "--map", mapPath}, ""},
+	} {
+		err := runners["pp2d"](tc.args)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("pp2d %s: %v", strings.Join(tc.args, " "), err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("pp2d %s: error %v, want %q", strings.Join(tc.args, " "), err, tc.want)
+		}
+	}
+}
+
+func writeFile(t *testing.T, path string, write func(io.Writer) error) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := write(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -61,6 +61,9 @@ type Config struct {
 	// set, rather than ctx.Err(). Plain Run has no partial result to offer
 	// and always fails on cancellation.
 	BestEffort bool
+	// Connect makes Run grow a bidirectional RRT-Connect (see RunConnect)
+	// instead of a plain RRT.
+	Connect bool
 }
 
 // Validate reports every dimension, bound, and finiteness violation in the
@@ -299,10 +302,13 @@ func (p *planner) collectStats() {
 	p.res.SegChecks = p.ws.SegChecks
 }
 
-// Run executes the plain RRT kernel. Harness phases: "sample", "nn",
-// "collision". A cancelled ctx aborts between sampling iterations,
-// returning ctx.Err().
+// Run executes the plain RRT kernel, or RunConnect when cfg.Connect is set.
+// Harness phases: "sample", "nn", "collision". A cancelled ctx aborts
+// between sampling iterations, returning ctx.Err().
 func Run(ctx context.Context, cfg Config, prof *profile.Profile) (Result, error) {
+	if cfg.Connect {
+		return RunConnect(ctx, cfg, prof)
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}

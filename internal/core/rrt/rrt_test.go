@@ -2,6 +2,7 @@ package rrt
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/arm"
@@ -206,6 +207,24 @@ func TestRRTConnectFindsValidPath(t *testing.T) {
 	validatePath(t, res.Path, cfg)
 	if res.TreeNodes < 2 {
 		t.Fatal("no trees grown")
+	}
+}
+
+// TestRunConnectField: Config.Connect turns Run into RunConnect, which is
+// how the registry's "connect" variant reaches it.
+func TestRunConnectField(t *testing.T) {
+	cfg := smallConfig()
+	want, err := RunConnect(context.Background(), cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Connect = true
+	got, err := Run(context.Background(), cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Run with Connect = %+v\nRunConnect = %+v", got, want)
 	}
 }
 

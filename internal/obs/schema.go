@@ -117,9 +117,9 @@ type TrialsReport struct {
 
 // KernelReport is one kernel execution in the shared machine-readable
 // schema. `rtrbench <kernel>` emits one report per run; `rtrbench suite` and
-// rtrbenchd emit an array (one per kernel of the Table I sweep). Fields tied
-// to the paper's characterization (PaperBottlenecks, MatchesPaper) are
-// filled only by sweeps, which know the registry entry.
+// rtrbenchd emit an array (one per kernel of the Table I sweep). All three
+// fill it through internal/report, including the fields tied to the
+// paper's characterization (PaperBottlenecks, MatchesPaper).
 type KernelReport struct {
 	Schema           string             `json:"schema"`
 	Kernel           string             `json:"kernel"`

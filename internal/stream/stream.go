@@ -90,9 +90,11 @@ type Options struct {
 	// Deadline is the relative deadline armed at each release. Zero means
 	// an implicit deadline equal to the period.
 	Deadline time.Duration
-	// Duration bounds the stream: no release is scheduled at or after
-	// start+Duration. Zero means unbounded (the stream then ends on
-	// MaxTicks or context cancellation).
+	// Duration bounds the stream's wall time: no tick starts at or after
+	// start+Duration, even one whose release came earlier and is still
+	// queued, so only the tick running at the bound runs past it. Zero
+	// means unbounded (the stream then ends on MaxTicks or context
+	// cancellation).
 	Duration time.Duration
 	// MaxTicks, when > 0, stops the stream after that many executed ticks.
 	MaxTicks int64
@@ -209,6 +211,11 @@ func Run(ctx context.Context, opts Options, step Step) (Result, error) {
 				return finish(), err
 			}
 			now = clk.Now()
+		}
+		// A backlog (queue, anytime-cutoff) may reach the bound before its
+		// releases do; no tick starts at or after it.
+		if !end.IsZero() && !now.Before(end) {
+			break
 		}
 		if err := ctx.Err(); err != nil {
 			res.Elapsed = clk.Now().Sub(start)

@@ -115,6 +115,32 @@ func TestPolicyQueueDeterministic(t *testing.T) {
 	}
 }
 
+// TestDurationBoundsQueueBacklog: under queue, a step longer than the
+// period builds a backlog of releases that were all due before the
+// Duration bound. The bound still ends the stream: no tick starts at or
+// after it, so only the tick running at the bound overruns it.
+func TestDurationBoundsQueueBacklog(t *testing.T) {
+	clk := NewVirtualClock(epoch)
+	step := syntheticStep(clk, nil, 15*time.Millisecond)
+	res, err := Run(context.Background(), Options{
+		Period:   10 * time.Millisecond,
+		Duration: 100 * time.Millisecond,
+		Policy:   PolicyQueue,
+		Clock:    clk,
+	}, step)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	// Tick i starts at 15i ms: ticks 0..6 start before 100ms, tick 6 ends
+	// at 105ms, and release 70 (due since 70ms) never starts.
+	if res.Ticks != 7 {
+		t.Errorf("Ticks = %d, want 7", res.Ticks)
+	}
+	if res.Elapsed != 105*time.Millisecond {
+		t.Errorf("Elapsed = %v, want 105ms", res.Elapsed)
+	}
+}
+
 func TestPolicyAnytimeCutoffDeterministic(t *testing.T) {
 	clk := NewVirtualClock(epoch)
 	step := syntheticStep(clk, []time.Duration{4 * time.Millisecond, 25 * time.Millisecond}, 4*time.Millisecond)

@@ -41,24 +41,26 @@ type validated interface{ Validate() error }
 
 // registerSpec wires a spec into the registry under info's identity. The
 // wrapper it installs is the harness's robustness boundary: it validates
-// the configured kernel config, arms chaos injection when requested, and
-// converts any panic that escapes the kernel into a structured
-// *KernelError instead of crashing the process.
+// the kernel config, arms chaos injection when requested, and converts any
+// panic that escapes the kernel into a structured *KernelError instead of
+// crashing the process. Options-driven runs and RunConfig both go through
+// it.
 func registerSpec[C any](info Info, s spec[C]) {
 	name, stage := info.Name, info.Stage
 	if s.digest == nil {
 		panic(fmt.Sprintf("rtrbench: kernel %q registered without a digest hook", name))
 	}
 	info.digest = s.digest
-	info.runWith = func(ctx context.Context, o Options, p *profile.Profile) (res Result, err error) {
-		cfg, err := s.configure(o)
-		if err != nil {
-			return Result{Kernel: name, Stage: stage}, err
-		}
+	validate := func(cfg C) error {
 		if v, ok := any(cfg).(validated); ok {
-			if err := v.Validate(); err != nil {
-				return Result{Kernel: name, Stage: stage}, err
-			}
+			return v.Validate()
+		}
+		return nil
+	}
+	// exec runs cfg; o contributes only its chaos settings.
+	exec := func(ctx context.Context, cfg C, o Options, p *profile.Profile) (res Result, err error) {
+		if err := validate(cfg); err != nil {
+			return Result{Kernel: name, Stage: stage}, err
 		}
 		var inj *fault.Injector
 		if o.Fault != nil {
@@ -83,15 +85,27 @@ func registerSpec[C any](info Info, s spec[C]) {
 		res.Faults = faultEvents(inj)
 		return res, err
 	}
+	info.runWith = func(ctx context.Context, o Options, p *profile.Profile) (Result, error) {
+		cfg, err := s.configure(o)
+		if err != nil {
+			return Result{Kernel: name, Stage: stage}, err
+		}
+		return exec(ctx, cfg, o, p)
+	}
+	info.runConfig = func(ctx context.Context, cfg any, p *profile.Profile) (Result, error) {
+		c, ok := cfg.(C)
+		if !ok {
+			return Result{Kernel: name, Stage: stage},
+				fmt.Errorf("rtrbench: kernel %q takes a %T, got %T", name, c, cfg)
+		}
+		return exec(ctx, c, Options{}, p)
+	}
 	info.validate = func(o Options) error {
 		cfg, err := s.configure(o)
 		if err != nil {
 			return err
 		}
-		if v, ok := any(cfg).(validated); ok {
-			return v.Validate()
-		}
-		return nil
+		return validate(cfg)
 	}
 	register(info)
 }

@@ -8,26 +8,14 @@ import (
 	"repro/internal/profile"
 )
 
-// rrtRunCfg carries the variant choice (plain RRT vs bidirectional
-// RRT-Connect) alongside the kernel config, since the run half of the spec
-// never sees Options.
-type rrtRunCfg struct {
-	cfg     rrt.Config
-	connect bool
-}
-
-// Validate delegates to the embedded kernel config so the adapter's
-// duck-typed validation path still covers the rrt variant wrapper.
-func (rc rrtRunCfg) Validate() error { return rc.cfg.Validate() }
-
 func init() {
 	registerSpec(Info{
 		Name: "rrt", Index: 8, Stage: Planning,
 		Description:      "Rapidly-exploring random tree planning for a 5-DoF arm",
 		PaperBottlenecks: []string{"Collision detection", "nearest neighbor search"},
 		ExpectDominant:   []string{"collision"},
-	}, spec[rrtRunCfg]{
-		configure: func(o Options) (rrtRunCfg, error) {
+	}, spec[rrt.Config]{
+		configure: func(o Options) (rrt.Config, error) {
 			// The "connect" variant runs the bidirectional RRT-Connect
 			// extension; any other variant names a workspace.
 			variant := o.Variant
@@ -37,19 +25,16 @@ func init() {
 			}
 			cfg, err := rrtConfig("rrt", o, variant)
 			if err != nil {
-				return rrtRunCfg{}, fmt.Errorf("rrt: unknown variant %q", o.Variant)
+				return cfg, fmt.Errorf("rrt: unknown variant %q", o.Variant)
 			}
-			return rrtRunCfg{cfg: cfg, connect: connect}, nil
+			cfg.Connect = connect
+			return cfg, nil
 		},
 		// Path cost plus the sampling/NN/collision operation counts shared
 		// by the RRT family (see rrtDigest).
 		digest: rrtDigest,
-		run: func(ctx context.Context, rc rrtRunCfg, p *profile.Profile) (Result, error) {
-			runFn := rrt.Run
-			if rc.connect {
-				runFn = rrt.RunConnect
-			}
-			kr, err := runFn(ctx, rc.cfg, p)
+		run: func(ctx context.Context, cfg rrt.Config, p *profile.Profile) (Result, error) {
+			kr, err := rrt.Run(ctx, cfg, p)
 			return rrtResult("rrt", p, kr), err
 		},
 	})

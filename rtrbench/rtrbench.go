@@ -193,6 +193,8 @@ type Info struct {
 	// runWith executes the kernel against a caller-owned profile (the Suite
 	// engine hands each trial its own shard of a profile.Sharded).
 	runWith func(context.Context, Options, *profile.Profile) (Result, error)
+	// runConfig executes the kernel on a caller-built config (see RunConfig).
+	runConfig func(context.Context, any, *profile.Profile) (Result, error)
 	// validate configures the kernel from the options and runs its config
 	// validation without executing it (see the package-level Validate).
 	validate func(Options) error
@@ -260,6 +262,20 @@ func RunContext(ctx context.Context, name string, opts Options) (Result, error) 
 		return Result{}, fmt.Errorf("rtrbench: unknown kernel %q", name)
 	}
 	return k.runWith(ctx, opts, newProfile(opts))
+}
+
+// RunConfig executes the named kernel on cfg, a config of the kernel's own
+// type (a pfl.Config for "pfl", an rrt.Config for the RRT family), against
+// the caller's profile. The run gets what Run gives a configured kernel:
+// config validation, panic recovery into a *KernelError, and the same
+// Result translation, so its metric names are the registry's. It is how
+// `rtrbench <kernel>` runs a config built from command-line flags.
+func RunConfig(ctx context.Context, name string, cfg any, p *profile.Profile) (Result, error) {
+	k, ok := Lookup(name)
+	if !ok {
+		return Result{}, fmt.Errorf("rtrbench: unknown kernel %q", name)
+	}
+	return k.runConfig(ctx, cfg, p)
 }
 
 // RunAll executes every kernel sequentially and returns the results in

@@ -1,7 +1,15 @@
 package rtrbench
 
 import (
+	"context"
+	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/arm"
+	"repro/internal/core/pfl"
+	"repro/internal/core/rrt"
+	"repro/internal/profile"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -218,6 +226,57 @@ func TestKernelVariants(t *testing.T) {
 	if conn.Metric("samples") >= base.Metric("samples") {
 		t.Fatalf("connect samples %v !< rrt %v",
 			conn.Metric("samples"), base.Metric("samples"))
+	}
+}
+
+// TestRunConfig pins RunConfig's checks: a config of another kernel's type
+// or one that fails validation never reaches the kernel, and an unknown
+// name is an error. A config built like the adapter's runs the same kernel
+// as Run: rrt.Config.Connect is the "connect" variant.
+func TestRunConfig(t *testing.T) {
+	ctx := context.Background()
+	ran := func(p *profile.Profile) bool {
+		rep := p.Snapshot()
+		return rep.ROI != 0 || len(rep.Phases) != 0
+	}
+
+	p := profile.New()
+	_, err := RunConfig(ctx, "pfl", rrt.DefaultConfig(), p)
+	if err == nil || !strings.Contains(err.Error(), "pfl.Config") || !strings.Contains(err.Error(), "rrt.Config") {
+		t.Errorf("wrong config type: error %v, want one naming pfl.Config and rrt.Config", err)
+	}
+	if ran(p) {
+		t.Error("a config of the wrong type ran the kernel")
+	}
+
+	bad := pfl.DefaultConfig()
+	bad.Particles = 0
+	_, err = RunConfig(ctx, "pfl", bad, p)
+	if err == nil || !strings.Contains(err.Error(), "Particles must be positive (got 0)") {
+		t.Errorf("invalid config: error %v, want the Particles field error", err)
+	}
+	if ran(p) {
+		t.Error("an invalid config ran the kernel")
+	}
+
+	if _, err := RunConfig(ctx, "nope", bad, p); err == nil || !strings.Contains(err.Error(), "unknown kernel") {
+		t.Errorf("unknown name: error %v, want unknown kernel", err)
+	}
+
+	cfg := rrt.DefaultConfig()
+	cfg.MaxSamples = 10000
+	cfg.Workspace = arm.MapC()
+	cfg.Connect = true
+	got, err := RunConfig(ctx, "rrt", cfg, profile.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run("rrt", Options{Size: SizeSmall, Variant: "connect"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Metrics, want.Metrics) {
+		t.Errorf("RunConfig metrics %v\nRun metrics %v", got.Metrics, want.Metrics)
 	}
 }
 

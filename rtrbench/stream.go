@@ -46,8 +46,9 @@ type StreamOptions struct {
 	Period time.Duration
 	// Deadline is the relative per-tick deadline; 0 means the period.
 	Deadline time.Duration
-	// Duration bounds the stream in wall time. A stream must be bounded:
-	// Duration or MaxTicks must be set.
+	// Duration bounds the stream in wall time: no tick starts at or after
+	// start+Duration, so only the tick running at the bound runs past it.
+	// A stream must be bounded: Duration or MaxTicks must be set.
 	Duration time.Duration
 	// MaxTicks bounds the stream in executed ticks (0 = unbounded here;
 	// then Duration must be set).
